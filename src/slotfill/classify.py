@@ -10,7 +10,6 @@ the candidate's argument spans.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -198,7 +197,12 @@ SVM_SCORE_SCALE = 3.0
 
 def svm_score(model: LinearModel, example) -> float:
     """Logistic squashing of the margin, so the score interpolates."""
-    return 1.0 / (1.0 + math.exp(-SVM_SCORE_SCALE * svm_margin(model, example)))
+    margin = svm_margin(model, example)
+    try:
+        return 1.0 / (1.0 + math.exp(-SVM_SCORE_SCALE * margin))
+    except OverflowError:
+        # the margin is below about -236.6; the logistic is under 1e-307
+        return 0.0
 
 
 def svm_train(dataset: list[tuple[object, int]],
@@ -236,23 +240,6 @@ def load_svm(path: str | Path) -> LinearModel:
                            int(data["bits"][0]))
 
 
-@dataclass
-class ScoreVector:
-    pattern: float
-    svm: float | None = None
-    cnn: float | None = None
-    rnn: float | None = None
-    combined: float = 0.0
-
-    def present(self) -> dict[str, float]:
-        out = {}
-        for name in CLASSIFIER_ORDER:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-
 def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float:
     """Weighted mean over the present scores, weights renormalized to 1."""
     if not scores:
@@ -263,11 +250,6 @@ def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float
         raise ValueError("all interpolation weights are zero for the present "
                          f"scores {sorted(scores)}")
     return sum(scores[k] * w / total for k, w in usable.items())
-
-
-def load_weights(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def weights_for_slot(weights: dict, slot: str) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""Command-line interface: index, train, tune, run, score.
+"""Command-line interface: train, tune, run, score.
 
 The SF_SEED environment variable overrides every RNG seed.
 """
@@ -25,18 +25,6 @@ def seed_from_env(default: int = DEFAULT_SEED) -> int:
     except ValueError:
         log.warning("ignoring non-integer SF_SEED=%r", value)
         return default
-
-
-def _cmd_index(args) -> int:
-    from .corpus import ingest_documents
-    from .retrieval import build_index, save_index
-
-    store = ingest_documents(args.corpus)
-    index = build_index(store)
-    save_index(index, args.out)
-    print(f"indexed {index.doc_count} documents, "
-          f"{len(index.postings)} terms -> {args.out}")
-    return 0
 
 
 def _cmd_train(args) -> int:
@@ -92,10 +80,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from dataclasses import replace
+
     from . import resources
-    from .classify import canonicalize_slot, combine_scores, match_patterns, svm_score
-    from .pipeline import ModelRegistry, ModelMissingError
-    from .nnets import rnn_ensemble_score
+    from .classify import canonicalize_slot, combine_scores, match_patterns
+    from .pipeline import ModelRegistry, classifier_scores
     from .traindata import load_examples, tune_interpolation_weights, tune_thresholds
 
     slot_configs = resources.default_slot_configs()
@@ -106,31 +95,14 @@ def _cmd_tune(args) -> int:
         print("no dev examples", file=sys.stderr)
         return 1
 
-    from dataclasses import replace as dc_replace
-
     scored_rows = []
     for ex in dev:
         canonical, swapped = canonicalize_slot(ex.slot, slot_configs)
-        view = dc_replace(ex, entity_first=not ex.entity_first) if swapped else ex
+        view = replace(ex, entity_first=not ex.entity_first) if swapped else ex
         scores = {"pattern": match_patterns(ex, patterns.get(canonical, []),
                                             swapped=swapped)}
-        try:
-            scores["svm"] = svm_score(registry.svm_for(canonical), view)
-        except ModelMissingError:
-            pass
-        try:
-            scores["cnn"] = registry.cnn_for(canonical).forward(view)
-        except ModelMissingError:
-            pass
-        try:
-            variants = registry.rnns_for(canonical)
-            scores["rnn"] = rnn_ensemble_score(
-                p_uni=variants["uni"].forward(view) if "uni" in variants else None,
-                p_bi=variants["bi"].forward(view) if "bi" in variants else None,
-                p_multi=variants["multitask"].forward(view)
-                if "multitask" in variants else None)
-        except ModelMissingError:
-            pass
+        scores.update(classifier_scores(registry, canonical, view,
+                                        registry.kinds_for(canonical)))
         scored_rows.append((ex.slot, scores, ex.label))
 
     weights = tune_interpolation_weights([(s, y) for _, s, y in scored_rows])
@@ -152,17 +124,7 @@ def _cmd_run(args) -> int:
     from .pipeline import configure_run, load_queries, load_system, run_queries, write_answers
 
     state = load_system(args.corpus, coref_path=args.coref,
-                        models_dir=args.models, weights_path=args.weights)
-    if args.tuned:
-        with open(args.tuned, encoding="utf-8") as fh:
-            tuned = json.load(fh)
-        if "weights" in tuned:
-            state.weights = tuned["weights"]
-        for slot, theta in tuned.get("thresholds", {}).items():
-            if slot in state.slot_configs:
-                from dataclasses import replace
-                state.slot_configs[slot] = replace(state.slot_configs[slot],
-                                                   threshold=float(theta))
+                        models_dir=args.models, tuned_path=args.tuned)
     cfg = configure_run(args.run, coref_enabled=not args.no_coref)
     queries = load_queries(args.queries)
     answers = run_queries(state, queries, cfg)
@@ -186,13 +148,8 @@ def _cmd_score(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slotfill",
-        description="Cold-start slot filling: index, train, tune, run, score.")
+        description="Cold-start slot filling: train, tune, run, score.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_index = sub.add_parser("index", help="build and persist an inverted index")
-    p_index.add_argument("--corpus", required=True)
-    p_index.add_argument("--out", required=True)
-    p_index.set_defaults(func=_cmd_index)
 
     p_train = sub.add_parser("train", help="train one classifier for a slot")
     p_train.add_argument("--slot", required=True)
@@ -232,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--models")
     p_run.add_argument("--coref")
-    p_run.add_argument("--weights")
-    p_run.add_argument("--tuned", help="JSON from the tune subcommand")
+    p_run.add_argument("--tuned", help="JSON from the tune subcommand: "
+                       "interpolation weights and per-slot thresholds")
     p_run.set_defaults(func=_cmd_run)
 
     p_score = sub.add_parser("score", help="micro-averaged P/R/F1 against gold")

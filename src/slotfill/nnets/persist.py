@@ -12,9 +12,8 @@ from .embeddings import EmbeddingMatrix
 from .rnn import RNNClassifier
 
 
-def save_model(model, path: str | Path, slot: str = "") -> None:
-    """Persist a CNN or RNN classifier: header (kind/variant/dims/vocab) plus
-    every parameter tensor."""
+def model_header(model, slot: str = "") -> dict:
+    """Kind, slot, vocabulary and the shape settings of a CNN or RNN."""
     header = {
         "kind": model.kind,
         "slot": slot,
@@ -26,6 +25,27 @@ def save_model(model, path: str | Path, slot: str = "") -> None:
     else:
         header.update(variant=model.variant, hidden=model.hidden,
                       type_dim=model.type_dim)
+    return header
+
+
+def model_from_header(header: dict, params: dict[str, np.ndarray]):
+    """The CNN or RNN that ``header`` describes, over ``params`` (the
+    embedding matrix included, under ``emb``)."""
+    params = dict(params)
+    emb = EmbeddingMatrix(header["vocab"], params.pop("emb"))
+    if header["kind"] == "cnn":
+        return CNNClassifier(emb, filters=header["filters"],
+                             width=header["width"], hidden=header["hidden"],
+                             params=params)
+    return RNNClassifier(emb, variant=header["variant"],
+                         hidden=header["hidden"], type_dim=header["type_dim"],
+                         params=params)
+
+
+def save_model(model, path: str | Path, slot: str = "") -> None:
+    """Persist a CNN or RNN classifier: header (kind/variant/dims/vocab) plus
+    every parameter tensor."""
+    header = model_header(model, slot)
     arrays = {f"param_{k}": v for k, v in model.params().items()}
     np.savez(path, header=np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
@@ -36,11 +56,4 @@ def load_model(path: str | Path):
         header = json.loads(bytes(data["header"]).decode("utf-8"))
         params = {k[len("param_"):]: data[k].copy() for k in data.files
                   if k.startswith("param_")}
-    emb = EmbeddingMatrix(header["vocab"], params.pop("emb"))
-    if header["kind"] == "cnn":
-        return CNNClassifier(emb, filters=header["filters"],
-                             width=header["width"], hidden=header["hidden"],
-                             params=params)
-    return RNNClassifier(emb, variant=header["variant"],
-                         hidden=header["hidden"], type_dim=header["type_dim"],
-                         params=params)
+    return model_from_header(header, params)

@@ -96,14 +96,17 @@ class RNNClassifier:
         return h
 
     def _chain_backward(self, x, h, w_in, w_rec, dh_final, grads,
-                        key_in="w_in", key_rec="w_rec", key_b="b"):
+                        key_in="w_in", key_rec="w_rec", key_b="b",
+                        dh_steps=None):
         """BPTT for one chain; returns d(x).  dh_final is the gradient at the
-        final hidden state; per-step extra gradients may be pre-accumulated
-        in dh_steps via the closure below."""
+        final hidden state; dh_steps, if given, holds one extra gradient per
+        step (row t joins at hidden state t)."""
         T = x.shape[0]
         dx = np.zeros_like(x)
         dh = dh_final
         for t in range(T - 1, -1, -1):
+            if dh_steps is not None:
+                dh = dh + dh_steps[t]
             dpre = (1.0 - h[t] ** 2) * dh
             grads[key_in] += np.outer(x[t], dpre)
             grads[key_b] += dpre
@@ -245,26 +248,23 @@ class RNNClassifier:
                 dtlogits[t] = dt / n_steps
             type_loss /= n_steps
 
+        # the type head's gradient joins the recurrence at each step; row by
+        # row in descending t, the order the accumulations must keep
+        dh_steps = np.zeros_like(h)
+        for t in range(T - 1, -1, -1):
+            grads["type_w"] += np.outer(h[t], dtlogits[t])
+            grads["type_b"] += dtlogits[t]
+            dh_steps[t] = p["type_w"] @ dtlogits[t]
+
         grads["out_w"] += np.outer(h[-1], dlogits)
         grads["out_b"] += dlogits
-        dh = p["out_w"] @ dlogits
+        dx = self._chain_backward(x, h, p["w_in"], p["w_rec"],
+                                  p["out_w"] @ dlogits, grads,
+                                  dh_steps=dh_steps)
         for t in range(T - 1, -1, -1):
-            if np.any(dtlogits[t]):
-                grads["type_w"] += np.outer(h[t], dtlogits[t])
-                grads["type_b"] += dtlogits[t]
-                dh = dh + p["type_w"] @ dtlogits[t]
-            dpre = (1.0 - h[t] ** 2) * dh
-            grads["w_in"] += np.outer(x[t], dpre)
-            grads["b"] += dpre
-            if t > 0:
-                grads["w_rec"] += np.outer(h[t - 1], dpre)
-                dh = p["w_rec"] @ dpre
-            else:
-                dh = np.zeros(self.hidden)
-            dx = p["w_in"] @ dpre
-            grads["emb"][cache["ids"][t]] += dx[:d]
+            grads["emb"][cache["ids"][t]] += dx[t, :d]
             if t >= 1:
                 # the type feature fed into step t was row choices[t-1]; the
                 # hard argmax is constant under differentiation
-                grads["type_emb"][choices[t - 1]] += dx[d:]
+                grads["type_emb"][choices[t - 1]] += dx[t, d:]
         return type_loss

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .persist import model_from_header, model_header
+
 log = logging.getLogger(__name__)
 
 
@@ -98,20 +100,6 @@ def evaluate_accuracy(model, dataset: list[tuple[object, int]]) -> float:
     return correct / len(dataset)
 
 
-def _clone_with_dtype(model, dtype):
-    from .cnn import CNNClassifier
-    from .embeddings import EmbeddingMatrix
-    from .rnn import RNNClassifier
-
-    emb = EmbeddingMatrix(model.emb.vocab, model.emb.vectors.astype(dtype))
-    params = {k: v.astype(dtype) for k, v in model._params.items()}
-    if model.kind == "cnn":
-        return CNNClassifier(emb, filters=model.filters, width=model.width,
-                             hidden=model.hidden, params=params)
-    return RNNClassifier(emb, variant=model.variant, hidden=model.hidden,
-                         type_dim=model.type_dim, params=params)
-
-
 def gradient_check(model, example, label: int = 1,
                    epsilon: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central finite
@@ -124,7 +112,8 @@ def gradient_check(model, example, label: int = 1,
     boundary would measure the jump of the piecewise-constant path rather
     than the gradient of the smooth piece the analytic backward computes.
     """
-    work = _clone_with_dtype(model, np.longdouble)
+    work = model_from_header(model_header(model), {
+        k: v.astype(np.longdouble) for k, v in model.params().items()})
     kwargs = {}
     if getattr(work, "variant", "") == "multitask":
         kwargs["frozen_choices"] = work._forward(example)["choices"]

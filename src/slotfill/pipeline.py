@@ -125,8 +125,8 @@ class ModelRegistry:
     def from_dir(cls, directory: str | Path) -> "ModelRegistry":
         registry = cls()
         directory = Path(directory)
-        if not directory.exists():
-            return registry
+        if not directory.is_dir():
+            raise FileNotFoundError(f"models directory not found: {directory}")
         for path in sorted(directory.glob("*.npz")):
             with np.load(path) as data:
                 if "header" in data.files:
@@ -161,6 +161,33 @@ class ModelRegistry:
             raise ModelMissingError(f"no RNN models for slot {slot!r}")
         return self.rnns[slot]
 
+    def kinds_for(self, slot: str) -> frozenset[str]:
+        """The classifier kinds with a trained model for ``slot``."""
+        held = {"svm": slot in self.svms, "cnn": slot in self.cnns,
+                "rnn": bool(self.rnns.get(slot))}
+        return frozenset(kind for kind, present in held.items() if present)
+
+
+def classifier_scores(models: ModelRegistry, canonical: str, view,
+                      kinds) -> dict[str, float]:
+    """The SVM, CNN and RNN-ensemble scores of ``view`` for the model kinds
+    in ``kinds`` (other kinds, such as "pattern", are ignored).  A kind
+    without a model for ``canonical`` raises ModelMissingError."""
+    scores = {}
+    if "svm" in kinds:
+        scores["svm"] = svm_score(models.svm_for(canonical), view)
+    if "cnn" in kinds:
+        scores["cnn"] = models.cnn_for(canonical).forward(view)
+    if "rnn" in kinds:
+        variants = models.rnns_for(canonical)
+        scores["rnn"] = rnn_ensemble_score(
+            p_uni=variants["uni"].forward(view) if "uni" in variants else None,
+            p_bi=variants["bi"].forward(view) if "bi" in variants else None,
+            p_multi=variants["multitask"].forward(view)
+            if "multitask" in variants else None,
+        )
+    return scores
+
 
 @dataclass
 class SystemState:
@@ -182,11 +209,16 @@ class SystemState:
 
 def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
                 models_dir: str | Path | None = None,
-                weights_path: str | Path | None = None) -> SystemState:
-    """Assemble a system over a corpus file, with bundled default resources."""
-    from .classify import load_weights
+                tuned_path: str | Path | None = None) -> SystemState:
+    """Assemble a system over a corpus file, with bundled default resources.
+
+    The models load first, so a bad models dir fails before any corpus work.
+    ``tuned_path`` names a ``slotfill tune`` output; its interpolation
+    weights and per-slot thresholds replace the bundled ones.
+    """
     from .mentions import load_coref_resource
 
+    models = ModelRegistry.from_dir(models_dir) if models_dir else ModelRegistry()
     store = ingest_documents(corpus_path)
     state = SystemState(
         store=store,
@@ -199,13 +231,20 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
         nicknames=resources.default_nicknames(),
         kb=resources.default_kb(),
         location_maps=resources.default_location_maps(),
-        weights=load_weights(weights_path) if weights_path
-        else resources.default_weights(),
+        weights=resources.default_weights(),
+        models=models,
     )
     if coref_path:
         state.coref = load_coref_resource(coref_path)
-    if models_dir:
-        state.models = ModelRegistry.from_dir(models_dir)
+    if tuned_path:
+        with open(tuned_path, encoding="utf-8") as fh:
+            tuned = json.load(fh)
+        if "weights" in tuned:
+            state.weights = tuned["weights"]
+        for slot, theta in tuned.get("thresholds", {}).items():
+            if slot in state.slot_configs:
+                state.slot_configs[slot] = replace(state.slot_configs[slot],
+                                                   threshold=float(theta))
     return state
 
 
@@ -257,20 +296,10 @@ def _score_candidate(state: SystemState, cfg: RunConfig, candidate,
     pattern_score = match_patterns(candidate, patterns, swapped=swapped)
     if canonical_cfg.classifier_less:
         return pattern_score
-    view = classifier_view(candidate, swapped)
     scores = {"pattern": pattern_score}
-    if "svm" in cfg.classifiers:
-        scores["svm"] = svm_score(state.models.svm_for(canonical), view)
-    if "cnn" in cfg.classifiers:
-        scores["cnn"] = state.models.cnn_for(canonical).forward(view)
-    if "rnn" in cfg.classifiers:
-        variants = state.models.rnns_for(canonical)
-        scores["rnn"] = rnn_ensemble_score(
-            p_uni=variants["uni"].forward(view) if "uni" in variants else None,
-            p_bi=variants["bi"].forward(view) if "bi" in variants else None,
-            p_multi=variants["multitask"].forward(view)
-            if "multitask" in variants else None,
-        )
+    scores.update(classifier_scores(state.models, canonical,
+                                    classifier_view(candidate, swapped),
+                                    cfg.classifiers))
     return combine_scores(scores, weights_for_slot(state.weights, canonical))
 
 
@@ -452,11 +481,15 @@ def load_queries(path: str | Path) -> list[SlotQuery]:
     """JSON Lines {id, name, type, slot, hop, next_slot?}."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            for key in ("id", "name", "type", "slot"):
+                if key not in rec:
+                    raise ValueError(f"{path}: line {line_no}: missing field "
+                                     f"{key!r}")
             out.append(SlotQuery(rec["id"], rec["name"], rec["type"],
                                  rec["slot"], int(rec.get("hop", 0)),
                                  rec.get("next_slot")))

@@ -8,12 +8,10 @@ entity.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import DocumentStore, tokenize
 
@@ -168,22 +166,3 @@ def retrieve_for_entity(index: InvertedIndex, name: str,
                     return out
     return out
 
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    payload = {
-        "doc_lengths": index.doc_lengths,
-        "postings": {t: [[d, tf] for d, tf in plist]
-                     for t, plist in index.postings.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    index = InvertedIndex()
-    index.doc_lengths = dict(payload["doc_lengths"])
-    index.postings = {t: [(d, int(tf)) for d, tf in plist]
-                      for t, plist in payload["postings"].items()}
-    return index

@@ -22,6 +22,7 @@ from .nnets import (
     save_model,
     train,
 )
+from .nnets.rnn import VARIANTS as RNN_VARIANTS
 from .traindata import (
     LabeledExample,
     SelectionConfig,
@@ -31,8 +32,6 @@ from .traindata import (
 )
 
 log = logging.getLogger(__name__)
-
-RNN_VARIANTS = ("uni", "bi", "multitask")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Patterns, featurization, the linear classifier, score interpolation."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,6 @@ from slotfill.classify import (
     LinearModel,
     Pattern,
     SVMConfig,
-    ScoreVector,
     canonicalize_slot,
     candidate_token_layout,
     combine_scores,
@@ -157,6 +157,20 @@ class TestSVM:
         model = LinearModel(np.zeros(1 << 18), 0.0, 18)
         assert svm_score(model, Example((), ("x",), ())) == pytest.approx(0.5)
 
+    def test_extreme_margins_stay_in_unit_interval(self):
+        ex = Example((), ("x",), ())
+        for bias in (-300.0, -1e6, -1e300, 300.0, 1e300):
+            model = LinearModel(np.zeros(1 << 4), bias, 4)
+            assert 0.0 <= svm_score(model, ex) <= 1.0
+        assert svm_score(LinearModel(np.zeros(1 << 18), -300.0, 18), ex) == 0.0
+
+    def test_ordinary_margins_bit_identical_to_logistic(self):
+        ex = Example((), ("x",), ())
+        for margin in np.linspace(-236.0, 236.0, 947):
+            model = LinearModel(np.zeros(1 << 4), float(margin), 4)
+            expected = 1.0 / (1.0 + math.exp(-3.0 * float(margin)))
+            assert svm_score(model, ex) == expected
+
     def test_separable_training_scores(self):
         data = separable_dataset()
         model = svm_train(data, SVMConfig(seed=1))
@@ -220,10 +234,6 @@ class TestCombineScores:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             combine_scores({"pattern": 1.0}, {"pattern": 0.0})
-
-    def test_score_vector_present(self):
-        sv = ScoreVector(pattern=1.0, svm=0.5)
-        assert sv.present() == {"pattern": 1.0, "svm": 0.5}
 
     def test_weights_for_slot(self):
         flat = {"pattern": 0.5, "svm": 0.5}

@@ -1,4 +1,4 @@
-"""Command-line entry points: index, train, tune, run, score."""
+"""Command-line entry points: train, tune, run, score."""
 
 import json
 
@@ -19,16 +19,6 @@ class TestSeedEnv:
     def test_garbage_ignored(self, monkeypatch):
         monkeypatch.setenv("SF_SEED", "not-a-number")
         assert seed_from_env() == 13
-
-
-class TestIndexCommand:
-    def test_builds_and_persists(self, fixtures_dir, tmp_path, capsys):
-        out = tmp_path / "index.json"
-        rc = main(["index", "--corpus", str(fixtures_dir / "corpus.jsonl"),
-                   "--out", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "indexed 13 documents" in capsys.readouterr().out
 
 
 class TestTrainCommand:

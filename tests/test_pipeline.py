@@ -1,17 +1,22 @@
 """Orchestration: run configs, scorer arithmetic, end-to-end behavior."""
 
+import json
+
 import pytest
 
 from slotfill.corpus import DocumentStore, make_document
 from slotfill.pipeline import (
+    ClassifierView,
     EvalCounts,
     ModelMissingError,
     ModelRegistry,
     SystemState,
+    classifier_scores,
     configure_run,
     f1,
     load_gold,
     load_queries,
+    load_system,
     run_cold_start,
     run_queries,
     run_query,
@@ -236,6 +241,66 @@ class TestMissingModel:
         q = SlotQuery("qx", "Steve Miller", "PER", "per:spouse")
         with pytest.raises(ModelMissingError, match="per:spouse"):
             run_query(state, q, configure_run(2))
+
+
+VIEW = ClassifierView(("He",), ("studied", "at"), (".",), True,
+                      ("Steve", "Miller"), ("Harvard",))
+
+
+class TestClassifierScores:
+    def test_run_kind_without_model_raises(self, system_state):
+        # the fixture models hold no RNNs for per:schools_attended
+        with pytest.raises(ModelMissingError, match="per:schools_attended"):
+            classifier_scores(system_state.models, "per:schools_attended",
+                              VIEW, configure_run(3).classifiers)
+
+    @pytest.mark.parametrize("slot, kinds", [
+        ("per:location_of_birth", {"svm", "cnn", "rnn"}),
+        ("per:schools_attended", {"svm", "cnn"}),
+    ])
+    def test_registry_kinds_give_exactly_those_keys(self, system_state, slot,
+                                                    kinds):
+        models = system_state.models
+        assert models.kinds_for(slot) == kinds
+        scores = classifier_scores(models, slot, VIEW, models.kinds_for(slot))
+        assert set(scores) == kinds
+        assert all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+class TestModelsDir:
+    def test_missing_dir_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="typo"):
+            ModelRegistry.from_dir(tmp_path / "typo")
+
+    def test_load_system_fails_before_ingest(self, tmp_path):
+        # the corpus does not exist either: the models dir is checked first
+        with pytest.raises(FileNotFoundError, match="models directory"):
+            load_system(tmp_path / "corpus.jsonl",
+                        models_dir=tmp_path / "typo")
+
+
+class TestTunedFile:
+    def test_weights_and_thresholds_applied(self, fixtures_dir, tmp_path):
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps({
+            "weights": {"pattern": 1.0},
+            "thresholds": {"per:age": 0.9, "per:no_such_slot": 0.1}}))
+        state = load_system(fixtures_dir / "corpus.jsonl", tuned_path=tuned)
+        assert state.weights == {"pattern": 1.0}
+        assert state.slot_configs["per:age"].threshold == 0.9
+        assert "per:no_such_slot" not in state.slot_configs
+
+
+class TestLoadQueries:
+    def test_missing_field_names_file_line_and_field(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(
+            '{"id": "q1", "name": "Steve Miller", "type": "PER", '
+            '"slot": "per:age"}\n\n'
+            '{"id": "q2", "name": "Steve Miller", "slot": "per:age"}\n')
+        with pytest.raises(ValueError,
+                           match=r"queries\.jsonl: line 3: missing field 'type'"):
+            load_queries(path)
 
 
 class TestQuotePreprocessingEndToEnd:

@@ -10,11 +10,9 @@ from slotfill.retrieval import (
     BM25_B,
     BM25_K1,
     build_index,
-    load_index,
     query_and,
     query_or,
     retrieve_for_entity,
-    save_index,
     text_terms,
 )
 
@@ -163,17 +161,3 @@ class TestRetrieveForEntity:
         index = build_index(store_from({"d1": "alpha"}))
         assert retrieve_for_entity(index, "missing name") == []
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        texts = {"d1": "Barack Obama", "d2": "Obama speech here"}
-        index = build_index(store_from(texts))
-        p = tmp_path / "index.json"
-        save_index(index, p)
-        loaded = load_index(p)
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        res_a = query_or(index, ["obama"])
-        res_b = query_or(loaded, ["obama"])
-        assert [(r.doc_id, r.score) for r in res_a] == \
-            [(r.doc_id, r.score) for r in res_b]
