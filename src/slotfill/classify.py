@@ -25,7 +25,6 @@ MAX_WILDCARD = 5
 DEFAULT_HASH_BITS = 18
 
 CLASSIFIER_ORDER = ("pattern", "svm", "cnn", "rnn")
-DEFAULT_WEIGHTS = {"pattern": 0.2, "svm": 0.3, "cnn": 0.3, "rnn": 0.2}
 
 
 @dataclass(frozen=True)
@@ -229,15 +228,22 @@ def svm_train(dataset: list[tuple[object, int]],
 
 
 def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
-    np.savez(path, weights=model.weights, bias=np.array([model.bias]),
+    """Sparse: the indices and values of the nonzero weights only."""
+    indices = np.flatnonzero(model.weights)
+    np.savez(path, indices=indices, values=model.weights[indices],
+             bias=np.array([model.bias]),
              bits=np.array([model.feature_hash_bits]),
              slot=np.frombuffer(slot.encode("utf-8"), dtype=np.uint8))
 
 
 def load_svm(path: str | Path) -> LinearModel:
     with np.load(path) as data:
-        return LinearModel(data["weights"].copy(), float(data["bias"][0]),
-                           int(data["bits"][0]))
+        if "indices" not in data.files:
+            raise ValueError(f"{path}: not a sparse SVM model file (older "
+                             "dense layout?); retrain the model")
+        weights = np.zeros(1 << int(data["bits"][0]))
+        weights[data["indices"]] = data["values"]
+        return LinearModel(weights, float(data["bias"][0]), int(data["bits"][0]))
 
 
 def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float:
@@ -252,15 +258,15 @@ def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float
     return sum(scores[k] * w / total for k, w in usable.items())
 
 
-def weights_for_slot(weights: dict, slot: str) -> dict[str, float]:
-    """Weights file is either one global mapping or per-slot mappings under
-    slot keys with an optional "default"."""
-    if any(k in weights for k in CLASSIFIER_ORDER):
-        return {k: float(v) for k, v in weights.items()}
-    table = weights.get(slot) or weights.get("default")
-    if table is None:
-        return dict(DEFAULT_WEIGHTS)
-    return {k: float(v) for k, v in table.items()}
+def check_weights(weights, source) -> dict[str, float]:
+    """The interpolation weights read from ``source``, as floats; they must
+    be a nonempty mapping from classifier kinds to numbers."""
+    if not (isinstance(weights, dict) and weights and all(
+            k in CLASSIFIER_ORDER and type(v) in (int, float)
+            for k, v in weights.items())):
+        raise ValueError(f"{source}: interpolation weights must map "
+                         f"{', '.join(CLASSIFIER_ORDER)} to numbers: {weights!r}")
+    return {k: float(v) for k, v in weights.items()}
 
 
 def canonicalize_slot(slot: str, slot_configs: dict) -> tuple[str, bool]:

@@ -80,11 +80,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from dataclasses import replace
-
     from . import resources
     from .classify import canonicalize_slot, combine_scores, match_patterns
-    from .pipeline import ModelRegistry, classifier_scores
+    from .pipeline import ModelRegistry, classifier_scores, classifier_view
     from .traindata import load_examples, tune_interpolation_weights, tune_thresholds
 
     slot_configs = resources.default_slot_configs()
@@ -98,10 +96,10 @@ def _cmd_tune(args) -> int:
     scored_rows = []
     for ex in dev:
         canonical, swapped = canonicalize_slot(ex.slot, slot_configs)
-        view = replace(ex, entity_first=not ex.entity_first) if swapped else ex
         scores = {"pattern": match_patterns(ex, patterns.get(canonical, []),
                                             swapped=swapped)}
-        scores.update(classifier_scores(registry, canonical, view,
+        scores.update(classifier_scores(registry, canonical,
+                                        classifier_view(ex, swapped),
                                         registry.kinds_for(canonical)))
         scored_rows.append((ex.slot, scores, ex.label))
 

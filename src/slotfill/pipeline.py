@@ -19,11 +19,11 @@ import numpy as np
 
 from .classify import (
     canonicalize_slot,
+    check_weights,
     combine_scores,
     load_svm,
     match_patterns,
     svm_score,
-    weights_for_slot,
 )
 from .corpus import DocumentStore, ingest_documents
 from .extract import (
@@ -93,24 +93,18 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class ClassifierView:
-    """A candidate as presented to the classifiers, with argument roles
-    swapped for inverse slots."""
+    """A candidate or labeled example as the SVM, CNN and RNN read it, with
+    the argument order flipped for inverse slots."""
     left: tuple[str, ...]
     middle: tuple[str, ...]
     right: tuple[str, ...]
     entity_first: bool
-    entity_tokens: tuple[str, ...]
-    filler_tokens: tuple[str, ...]
 
 
-def classifier_view(candidate, swapped: bool) -> ClassifierView:
-    if not swapped:
-        return ClassifierView(candidate.left, candidate.middle, candidate.right,
-                              candidate.entity_first, candidate.entity_tokens,
-                              candidate.filler_tokens)
-    return ClassifierView(candidate.left, candidate.middle, candidate.right,
-                          not candidate.entity_first, candidate.filler_tokens,
-                          candidate.entity_tokens)
+def classifier_view(example, swapped: bool) -> ClassifierView:
+    entity_first = not example.entity_first if swapped else example.entity_first
+    return ClassifierView(example.left, example.middle, example.right,
+                          entity_first)
 
 
 class ModelRegistry:
@@ -212,13 +206,17 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
                 tuned_path: str | Path | None = None) -> SystemState:
     """Assemble a system over a corpus file, with bundled default resources.
 
-    The models load first, so a bad models dir fails before any corpus work.
-    ``tuned_path`` names a ``slotfill tune`` output; its interpolation
-    weights and per-slot thresholds replace the bundled ones.
+    ``tuned_path`` names a ``slotfill tune`` output; its weights and per-slot
+    thresholds replace the bundled ones.  The models and the tuned file load
+    first, so a bad one fails before any corpus work.
     """
     from .mentions import load_coref_resource
 
     models = ModelRegistry.from_dir(models_dir) if models_dir else ModelRegistry()
+    tuned = (json.loads(Path(tuned_path).read_text(encoding="utf-8"))
+             if tuned_path else {})
+    weights = (check_weights(tuned["weights"], tuned_path) if "weights" in tuned
+               else resources.default_weights())
     store = ingest_documents(corpus_path)
     state = SystemState(
         store=store,
@@ -231,42 +229,38 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
         nicknames=resources.default_nicknames(),
         kb=resources.default_kb(),
         location_maps=resources.default_location_maps(),
-        weights=resources.default_weights(),
+        weights=weights,
         models=models,
     )
     if coref_path:
         state.coref = load_coref_resource(coref_path)
-    if tuned_path:
-        with open(tuned_path, encoding="utf-8") as fh:
-            tuned = json.load(fh)
-        if "weights" in tuned:
-            state.weights = tuned["weights"]
-        for slot, theta in tuned.get("thresholds", {}).items():
-            if slot in state.slot_configs:
-                state.slot_configs[slot] = replace(state.slot_configs[slot],
-                                                   threshold=float(theta))
+    for slot, theta in tuned.get("thresholds", {}).items():
+        if slot in state.slot_configs:
+            state.slot_configs[slot] = replace(state.slot_configs[slot],
+                                               threshold=float(theta))
     return state
 
 
-def _sentence_bag(sentence) -> Counter:
-    return Counter(t.lower() for t in sentence.texts())
-
-
-def _mention_context_bag(doc, names: list[str], exact_only: bool = False) -> Counter:
-    """Union of term bags of the sentences containing a name mention."""
+def _context_bag(doc, mentions) -> Counter:
+    """Union of lowercased term bags of the sentences holding ``mentions``."""
     bag: Counter = Counter()
-    for m in find_name_mentions(doc, names):
-        if exact_only and m.kind != "exact":
-            continue
-        bag.update(_sentence_bag(doc.sentences[m.sentence_index]))
+    for m in mentions:
+        bag.update(t.lower() for t in doc.sentences[m.sentence_index].texts())
     return bag
 
 
-def _collect_mentions(state: SystemState, doc, names: list[str],
+def _exact_name_mentions(seed: list, name: str) -> list:
+    """The mentions of ``seed`` that a pass over ``name`` alone marks exact."""
+    from .corpus import tokenize  # as find_name_mentions tokenises names
+
+    target = " ".join(t.text for t in tokenize(name)).lower()
+    return [m for m in seed if m.kind == "exact" and m.surface.lower() == target]
+
+
+def _collect_mentions(state: SystemState, doc, seed: list,
                       cfg: RunConfig, tag_cache: dict):
-    """Seed mentions, plus coref chains and the nominal heuristic when
-    coreference is enabled."""
-    seed = find_name_mentions(doc, names)
+    """The seed name mentions, plus coref chains and the nominal heuristic
+    when coreference is enabled."""
     if not cfg.coref_enabled:
         return seed
     chains = state.coref.get(doc.id, [])
@@ -300,7 +294,7 @@ def _score_candidate(state: SystemState, cfg: RunConfig, candidate,
     scores.update(classifier_scores(state.models, canonical,
                                     classifier_view(candidate, swapped),
                                     cfg.classifiers))
-    return combine_scores(scores, weights_for_slot(state.weights, canonical))
+    return combine_scores(scores, state.weights)
 
 
 def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
@@ -344,28 +338,27 @@ def extract_candidates(state: SystemState, query: SlotQuery,
     doc_ids = retrieve_for_entity(state.index, query.entity_name, ir_alias,
                                   query.entity_type)
     names = [query.entity_name] + aliases
+    # one mention pass per document serves linking, the gate and extraction
+    seeded = [(doc, find_name_mentions(doc, names))
+              for doc in map(state.store.get, doc_ids)]
 
-    if cfg.entity_linking and doc_ids:
+    if cfg.entity_linking and seeded:
         context: Counter = Counter()
-        for doc_id in doc_ids:
-            context.update(_mention_context_bag(state.store.get(doc_id),
-                                                [query.entity_name],
-                                                exact_only=True))
+        for doc, seed in seeded:
+            context.update(_context_bag(
+                doc, _exact_name_mentions(seed, query.entity_name)))
         target_id = link_entity(query, state.kb, context)
         if target_id is not None:
             target = next(e for e in state.kb if e.entity_id == target_id)
-            doc_ids = [
-                d for d in doc_ids
-                if document_matches_entity(
-                    _mention_context_bag(state.store.get(d), names),
-                    target, state.kb, query.entity_name)
-            ]
+            seeded = [(doc, seed) for doc, seed in seeded
+                      if document_matches_entity(_context_bag(doc, seed),
+                                                 target, state.kb,
+                                                 query.entity_name)]
 
     tag_cache: dict = {}
     candidates = []
-    for doc_id in doc_ids:
-        doc = state.store.get(doc_id)
-        mentions = _collect_mentions(state, doc, names, cfg, tag_cache)
+    for doc, seed in seeded:
+        mentions = _collect_mentions(state, doc, seed, cfg, tag_cache)
         if not mentions:
             continue
         chains = state.coref.get(doc.id, []) if cfg.coref_enabled else []
@@ -381,10 +374,8 @@ def extract_candidates(state: SystemState, query: SlotQuery,
 
 def run_query(state: SystemState, query: SlotQuery, cfg: RunConfig) -> list[Answer]:
     """Execute the full pipeline for one query at its hop."""
-    slot_cfg = state.slot_configs.get(query.slot)
-    if slot_cfg is None:
-        raise ValueError(f"unknown slot {query.slot!r}")
     canonical, swapped = canonicalize_slot(query.slot, state.slot_configs)
+    slot_cfg = state.slot_configs[query.slot]
     canonical_cfg = state.slot_configs[canonical]
     candidates = extract_candidates(state, query, cfg)
 
@@ -482,10 +473,13 @@ def load_queries(path: str | Path) -> list[SlotQuery]:
     out = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON "
+                                 f"({exc.msg}: column {exc.colno})") from None
             for key in ("id", "name", "type", "slot"):
                 if key not in rec:
                     raise ValueError(f"{path}: line {line_no}: missing field "

@@ -58,6 +58,8 @@ def default_location_maps():
     return load_location_maps(data_path("locations"))
 
 
-def default_weights() -> dict:
-    with open(data_path("weights.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+def default_weights() -> dict[str, float]:
+    from .classify import check_weights
+    path = data_path("weights.json")
+    with open(path, encoding="utf-8") as fh:
+        return check_weights(json.load(fh), path)

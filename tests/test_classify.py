@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from slotfill.classify import (
-    DEFAULT_WEIGHTS,
     LinearModel,
     Pattern,
     SVMConfig,
     canonicalize_slot,
+    check_weights,
     candidate_token_layout,
     combine_scores,
     featurize,
@@ -22,9 +22,8 @@ from slotfill.classify import (
     svm_margin,
     svm_score,
     svm_train,
-    weights_for_slot,
 )
-from slotfill.resources import default_slot_configs
+from slotfill.resources import default_slot_configs, default_weights
 
 
 @dataclass
@@ -205,8 +204,21 @@ class TestSVM:
         p = tmp_path / "svm.npz"
         save_svm(model, p, slot="per:age")
         loaded = load_svm(p)
+        assert np.array_equal(loaded.weights, model.weights)
+        assert (loaded.bias, loaded.feature_hash_bits) == \
+            (model.bias, model.feature_hash_bits)
         ex = Example((), ("works", "for"), ())
         assert svm_score(loaded, ex) == svm_score(model, ex)
+        with np.load(p) as data:
+            assert all(data[k].size < 1 << model.feature_hash_bits
+                       for k in data.files)
+
+    def test_dense_file_rejected(self, tmp_path):
+        p = tmp_path / "dense.svm.npz"
+        np.savez(p, weights=np.zeros(1 << 4), bias=np.array([0.0]),
+                 bits=np.array([4]), slot=np.frombuffer(b"per:age", np.uint8))
+        with pytest.raises(ValueError, match=r"dense\.svm\.npz.*retrain"):
+            load_svm(p)
 
 
 class TestCombineScores:
@@ -226,7 +238,7 @@ class TestCombineScores:
         assert combine_scores(scores, weights) == pytest.approx(0.4 / 0.7)
 
     def test_convexity(self):
-        weights = DEFAULT_WEIGHTS
+        weights = default_weights()
         scores = {"pattern": 0.1, "svm": 0.9, "cnn": 0.4}
         combined = combine_scores(scores, weights)
         assert min(scores.values()) <= combined <= max(scores.values())
@@ -235,12 +247,22 @@ class TestCombineScores:
         with pytest.raises(ValueError):
             combine_scores({"pattern": 1.0}, {"pattern": 0.0})
 
-    def test_weights_for_slot(self):
-        flat = {"pattern": 0.5, "svm": 0.5}
-        assert weights_for_slot(flat, "per:age") == flat
-        nested = {"default": {"pattern": 1.0}, "per:age": {"svm": 1.0}}
-        assert weights_for_slot(nested, "per:age") == {"svm": 1.0}
-        assert weights_for_slot(nested, "per:title") == {"pattern": 1.0}
+    def test_check_weights(self):
+        checked = check_weights({"pattern": 1, "svm": 0.5}, "w.json")
+        assert checked == {"pattern": 1.0, "svm": 0.5}
+        assert all(type(v) is float for v in checked.values())
+
+    @pytest.mark.parametrize("weights", [
+        {"default": {"pattern": 1.0}, "per:age": {"svm": 1.0}},
+        {"pattern": 0.5, "per:age": {"svm": 1.0}},
+        {"pattern": "0.5"},
+        {"svm": True},
+        {},
+        [0.5, 0.5],
+    ])
+    def test_check_weights_rejects(self, weights):
+        with pytest.raises(ValueError, match=r"w\.json: interpolation weights"):
+            check_weights(weights, "w.json")
 
 
 @pytest.fixture(scope="module")

@@ -243,8 +243,7 @@ class TestMissingModel:
             run_query(state, q, configure_run(2))
 
 
-VIEW = ClassifierView(("He",), ("studied", "at"), (".",), True,
-                      ("Steve", "Miller"), ("Harvard",))
+VIEW = ClassifierView(("He",), ("studied", "at"), (".",), True)
 
 
 class TestClassifierScores:
@@ -291,6 +290,73 @@ class TestTunedFile:
         assert "per:no_such_slot" not in state.slot_configs
 
 
+    def test_per_slot_weights_rejected_naming_file(self, fixtures_dir,
+                                                   tmp_path):
+        tuned = tmp_path / "per_slot.json"
+        tuned.write_text(json.dumps({"weights": {
+            "default": {"pattern": 1.0}, "per:age": {"svm": 1.0}}}))
+        with pytest.raises(ValueError, match=r"per_slot\.json"):
+            load_system(fixtures_dir / "corpus.jsonl", tuned_path=tuned)
+
+
+class TestOneMentionPass:
+    def test_run4_finds_mentions_once_per_retrieved_doc(
+            self, system_state, queries, monkeypatch):
+        from slotfill import pipeline
+
+        retrieved, searched, gated = [], [], []
+
+        def retrieve(*args, **kwargs):
+            doc_ids = real_retrieve(*args, **kwargs)
+            retrieved.extend(doc_ids)
+            return doc_ids
+
+        def find(doc, names, *args, **kwargs):
+            searched.append(doc.id)
+            return real_find(doc, names, *args, **kwargs)
+
+        def gate(*args, **kwargs):
+            gated.append(args)
+            return real_gate(*args, **kwargs)
+
+        real_retrieve = pipeline.retrieve_for_entity
+        real_find = pipeline.find_name_mentions
+        real_gate = pipeline.document_matches_entity
+        monkeypatch.setattr(pipeline, "retrieve_for_entity", retrieve)
+        monkeypatch.setattr(pipeline, "find_name_mentions", find)
+        monkeypatch.setattr(pipeline, "document_matches_entity", gate)
+        for query in queries:
+            retrieved.clear()
+            searched.clear()
+            run_query(system_state, query, configure_run(4))
+            assert sorted(searched) == sorted(retrieved), query.id
+        assert gated, "no fixture query reached the linking gate"
+
+    def test_exact_name_mentions_match_single_name_pass(self, system_state,
+                                                        queries):
+        from slotfill.mentions import find_name_mentions
+        from slotfill.pipeline import _exact_name_mentions
+        from slotfill.query import clean_aliases
+
+        # the fixture corpus names no alias exactly; this document does
+        docs = list(system_state.store) + [make_document(
+            "d_alias", "news", "Steven Miller, or STEVE MILLER, taught at LMU "
+            "and Munich University. Steve Millers and Acme Incorporated.")]
+        found, dropped = 0, 0
+        for query in {(q.entity_name, q.entity_type): q for q in queries}.values():
+            name = query.entity_name
+            aliases = clean_aliases(name, system_state.alias_table.get(name, []),
+                                    query.entity_type, system_state.nicknames)
+            for doc in docs:
+                oracle = [m for m in find_name_mentions(doc, [name])
+                          if m.kind == "exact"]
+                seed = find_name_mentions(doc, [name] + aliases)
+                assert _exact_name_mentions(seed, name) == oracle, (name, doc.id)
+                found += len(oracle)
+                dropped += sum(m.kind == "exact" for m in seed) - len(oracle)
+        assert found and dropped
+
+
 class TestLoadQueries:
     def test_missing_field_names_file_line_and_field(self, tmp_path):
         path = tmp_path / "queries.jsonl"
@@ -300,6 +366,16 @@ class TestLoadQueries:
             '{"id": "q2", "name": "Steve Miller", "slot": "per:age"}\n')
         with pytest.raises(ValueError,
                            match=r"queries\.jsonl: line 3: missing field 'type'"):
+            load_queries(path)
+
+    def test_invalid_json_names_file_line(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(
+            '{"id": "q1", "name": "Steve Miller", "type": "PER", '
+            '"slot": "per:age"}\n'
+            '{"id": "q2", "name": "Steve Mil\n')
+        with pytest.raises(ValueError,
+                           match=r"queries\.jsonl: line 2: invalid JSON \("):
             load_queries(path)
 
 
