@@ -9,12 +9,12 @@ where mention_class is proper, pronoun or nominal.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document
-from .query import levenshtein
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +106,56 @@ def load_coref_resource(path: str | Path) -> dict[str, list[CorefChain]]:
     return chains
 
 
+def bounded_levenshtein(a: str, b: str, k: int) -> int:
+    """Unit-cost edit distance of ``a`` and ``b`` if it is at most ``k``
+    (``k >= 0``), else ``k + 1``.  Only the cells with |i - j| <= k are
+    computed, and the scan stops at the first row whose cells all exceed k
+    (Ukkonen 1985)."""
+    if a == b:
+        return 0
+    over = k + 1
+    la, lb = len(a), len(b)
+    if abs(la - lb) > k:
+        return over
+    # out-of-band cells hold `over`; every computed cell is exact when it
+    # is at most k and above k otherwise
+    prev = [j if j <= k else over for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        ca = a[i - 1]
+        lo = i - k if i > k else 1
+        hi = i + k if i + k < lb else lb
+        cur = [over] * (lb + 1)
+        if i <= k:
+            cur[0] = i
+        left = row_min = cur[lo - 1]
+        for j in range(lo, hi + 1):
+            # v = min(diagonal + cost, up + 1, left + 1)
+            v = prev[j - 1] if ca == b[j - 1] else prev[j - 1] + 1
+            if prev[j] < v:
+                v = prev[j] + 1
+            if left < v:
+                v = left + 1
+            cur[j] = left = v
+            if v < row_min:
+                row_min = v
+        if row_min > k:
+            return over
+        prev = cur
+    return prev[lb] if prev[lb] <= k else over
+
+
+@functools.lru_cache(maxsize=256)
+def _max_accepted_dist(longer: int, max_norm_dist: float) -> int:
+    """The largest d in [0, longer] with ``d / longer <= max_norm_dist``,
+    or -1 if there is none."""
+    k = min(longer, max(0, int(max_norm_dist * longer)))
+    while k < longer and (k + 1) / longer <= max_norm_dist:
+        k += 1
+    while k >= 0 and k / longer > max_norm_dist:
+        k -= 1
+    return k
+
+
 def find_name_mentions(doc: Document, names: list[str],
                        max_norm_dist: float = FUZZY_MAX_NORM_DIST) -> list[Mention]:
     """Find token windows matching any name within a normalized edit distance
@@ -132,7 +182,8 @@ def find_name_mentions(doc: Document, names: list[str],
                     continue
                 if abs(len(lowered) - len(target)) / longer > max_norm_dist:
                     continue
-                dist = levenshtein(lowered, target)
+                k = _max_accepted_dist(longer, max_norm_dist)
+                dist = bounded_levenshtein(lowered, target, k)
                 if dist / longer > max_norm_dist:
                     continue
                 kind = "exact" if dist == 0 else "fuzzy"

@@ -213,8 +213,13 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
     from .mentions import load_coref_resource
 
     models = ModelRegistry.from_dir(models_dir) if models_dir else ModelRegistry()
-    tuned = (json.loads(Path(tuned_path).read_text(encoding="utf-8"))
-             if tuned_path else {})
+    tuned = {}
+    if tuned_path:
+        try:
+            tuned = json.loads(Path(tuned_path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{tuned_path}: invalid JSON ({exc.msg}: line "
+                             f"{exc.lineno} column {exc.colno})") from None
     weights = (check_weights(tuned["weights"], tuned_path) if "weights" in tuned
                else resources.default_weights())
     store = ingest_documents(corpus_path)

@@ -33,27 +33,17 @@ def text_terms(text: str) -> list[str]:
 
 class InvertedIndex:
     def __init__(self):
-        self.postings: dict[str, list[tuple[str, int]]] = {}
+        # term -> {doc_id: tf}, doc ids inserted in sorted order
+        self.postings: dict[str, dict[str, int]] = {}
         self.doc_lengths: dict[str, int] = {}
+        self.avg_doc_length = 0.0
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    @property
-    def avg_doc_length(self) -> float:
-        if not self.doc_lengths:
-            return 0.0
-        return sum(self.doc_lengths.values()) / len(self.doc_lengths)
-
-    def term_freq(self, term: str, doc_id: str) -> int:
-        for d, tf in self.postings.get(term, ()):
-            if d == doc_id:
-                return tf
-        return 0
-
     def doc_ids_for(self, term: str) -> list[str]:
-        return [d for d, _ in self.postings.get(term, ())]
+        return list(self.postings.get(term, ()))
 
 
 @dataclass(frozen=True)
@@ -81,9 +71,10 @@ def build_index(store: DocumentStore) -> InvertedIndex:
         index.doc_lengths[doc.id] = n_terms
     for doc_id in sorted(counts):
         for term, tf in counts[doc_id].items():
-            index.postings.setdefault(term, []).append((doc_id, tf))
-    for term in index.postings:
-        index.postings[term].sort()
+            index.postings.setdefault(term, {})[doc_id] = tf
+    if index.doc_lengths:
+        index.avg_doc_length = (sum(index.doc_lengths.values())
+                                / len(index.doc_lengths))
     return index
 
 
@@ -94,10 +85,11 @@ def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
     dl = index.doc_lengths.get(doc_id, 0)
     score = 0.0
     for term in set(terms):
-        tf = index.term_freq(term, doc_id)
+        posting = index.postings.get(term, {})
+        tf = posting.get(doc_id, 0)
         if tf == 0:
             continue
-        df = len(index.postings.get(term, ()))
+        df = len(posting)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) if avgdl else BM25_K1
         score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)

@@ -2,8 +2,9 @@
 
 import random
 
-from slotfill.corpus import make_document
+from slotfill.corpus import make_document, tokenize
 from slotfill.mentions import (
+    MENTION_KINDS,
     ChainMention,
     CorefChain,
     attach_coref_mentions,
@@ -93,6 +94,79 @@ class TestFindNameMentions:
         assert (2, 4) in spans   # two-token window
         assert (0, 1) in spans   # single-token alias
         assert (3, 4) in spans
+
+
+def reference_name_mentions(doc, names, max_norm_dist=0.2):
+    """The matching rule with the full-DP levenshtein on every window."""
+    targets = []
+    for name in names:
+        toks = [t.text for t in tokenize(name)]
+        if toks:
+            targets.append((" ".join(toks).lower(), len(toks)))
+    found = {}
+    for sent in doc.sentences:
+        texts = sent.texts()
+        for target, width in targets:
+            for i in range(len(texts) - width + 1):
+                surface = " ".join(texts[i:i + width])
+                longer = max(len(surface), len(target))
+                dist = levenshtein(surface.lower(), target)
+                if dist / longer > max_norm_dist:
+                    continue
+                kind = "exact" if dist == 0 else "fuzzy"
+                span = (sent.index, i, i + width)
+                prev = found.get(span)
+                if prev is None or MENTION_KINDS.index(kind) \
+                        < MENTION_KINDS.index(prev.kind):
+                    found[span] = (doc.id, sent.index, i, i + width,
+                                   surface, kind)
+    return sorted(found.values(), key=lambda m: m[1:4])
+
+
+def near_miss(rng: random.Random, name: str, edits: int) -> str:
+    """``name`` after ``edits`` random letter edits, its case varied."""
+    chars = list(name)
+    for _ in range(edits):
+        op = rng.choice("sid")
+        pos = rng.randrange(len(chars))
+        if op == "s":
+            chars[pos] = rng.choice("abcdefghij")
+        elif op == "i":
+            chars.insert(pos, rng.choice("abcdefghij"))
+        elif len(chars) > 1:
+            del chars[pos]
+    word = "".join(chars)
+    return word.upper() if rng.random() < 0.2 else word
+
+
+class TestFindNameMentionsOracle:
+    def test_matches_full_levenshtein_rule(self):
+        # lowered lengths 5, 10, 15, 20: 0.2 * length is a whole distance,
+        # so near-misses land on both sides of the largest accepted one
+        rng = random.Random(5)
+        fillers = ["the", "met", "said", "on", "Friday", "cafe", "née", "."]
+        for trial in range(60):
+            names = []
+            for length in (5, 10, 15, 20):
+                first = "".join(rng.choices("abcdefghij", k=length // 2 - 1))
+                last = "".join(rng.choices("abcdefghij",
+                                           k=length - len(first) - 1))
+                names.append(f"{first.title()} {last.title()}")
+            names.append("".join(rng.choices("abcdefghij", k=5)).title())
+            words = []
+            for _ in range(40):
+                if rng.random() < 0.4:
+                    name = rng.choice(names)
+                    k = len(name) // 5
+                    words.append(near_miss(rng, name, rng.choice(
+                        [0, k - 1, k, k, k + 1, k + 1, k + 2])))
+                else:
+                    words.append(rng.choice(fillers))
+            doc = doc_from(" ".join(words), doc_id=f"d{trial}")
+            got = [(m.doc_id, m.sentence_index, m.token_start, m.token_end,
+                    m.surface, m.kind)
+                   for m in find_name_mentions(doc, names)]
+            assert got == reference_name_mentions(doc, names)
 
 
 def chain(doc_id, *mentions):

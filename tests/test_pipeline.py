@@ -298,6 +298,14 @@ class TestTunedFile:
         with pytest.raises(ValueError, match=r"per_slot\.json"):
             load_system(fixtures_dir / "corpus.jsonl", tuned_path=tuned)
 
+    def test_invalid_json_names_file_before_ingest(self, tmp_path):
+        tuned = tmp_path / "cut.json"
+        tuned.write_text('{\n  "weights": {"pattern": 1.0},\n  "thresholds":')
+        # the corpus does not exist: the tuned file is read first
+        with pytest.raises(ValueError, match=r"cut\.json: invalid JSON "
+                           r"\(Expecting value: line 3 column 16\)"):
+            load_system(tmp_path / "corpus.jsonl", tuned_path=tuned)
+
 
 class TestOneMentionPass:
     def test_run4_finds_mentions_once_per_retrieved_doc(

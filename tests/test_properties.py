@@ -1,11 +1,12 @@
 """Property tests over randomly generated inputs."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slotfill.classify import combine_scores
 from slotfill.corpus import make_document, strip_quote_spans, tokenize
 from slotfill.extract import split_contexts
+from slotfill.mentions import bounded_levenshtein
 from slotfill.postprocess import DATE_RE, normalize_date
 from slotfill.query import levenshtein
 
@@ -31,6 +32,19 @@ class TestLevenshteinMetric:
     @given(words, words)
     def test_bounded_by_longer_string(self, a, b):
         assert levenshtein(a, b) <= max(len(a), len(b))
+
+
+class TestBoundedLevenshtein:
+    @given(st.text(alphabet="abé中 ", max_size=12),
+           st.text(alphabet="abé中 ", max_size=12))
+    @example("", "")
+    @example("", "ab")
+    @example("abc", "abc")
+    @example("naïve café", "naive cafe")
+    def test_matches_levenshtein_for_every_k(self, a, b):
+        d = levenshtein(a, b)
+        for k in range(max(len(a), len(b)) + 3):
+            assert bounded_levenshtein(a, b, k) == (d if d <= k else k + 1)
 
 
 class TestQuoteStripping:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -127,6 +128,51 @@ class TestQueries:
         assert [(r.doc_id, r.score) for r in res_a] == \
             [(r.doc_id, r.score) for r in res_b]
         assert all(r.score >= 0 for r in res_a)
+
+
+def oracle_ranking(texts: dict[str, str], terms: list[str],
+                   mode: str) -> list[tuple[str, float]]:
+    """BM25 from the texts alone: tf by counting, avgdl over all docs."""
+    terms = [t.lower() for t in terms]
+    counts = {d: Counter(text_terms(t)) for d, t in texts.items()}
+    n = len(counts)
+    avgdl = sum(sum(c.values()) for c in counts.values()) / n if n else 0.0
+    out = []
+    for doc_id in brute_force_docs(texts, terms, mode):
+        dl = sum(counts[doc_id].values())
+        score = 0.0
+        for term in set(terms):
+            tf = counts[doc_id][term]
+            if tf == 0:
+                continue
+            df = sum(1 for c in counts.values() if term in c)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) \
+                if avgdl else BM25_K1
+            score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+        out.append((doc_id, score))
+    return sorted(out, key=lambda p: (-p[1], p[0]))
+
+
+class TestBM25Oracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_queries_bit_equal_to_counting_oracle(self, seed):
+        rng = random.Random(seed)
+        texts = random_corpus(rng, rng.randint(1, 120))
+        index = build_index(store_from(texts))
+        for _ in range(30):
+            terms = rng.choices([f"W{i}" for i in range(32)],
+                                k=rng.randint(1, 4))
+            for query, mode in ((query_and, "and"), (query_or, "or")):
+                got = [(r.doc_id, r.score) for r in query(index, terms)]
+                assert got == oracle_ranking(texts, terms, mode)
+
+    def test_empty_store(self):
+        index = build_index(DocumentStore())
+        assert index.avg_doc_length == 0.0
+        for query, mode in ((query_and, "and"), (query_or, "or")):
+            assert query(index, ["w0", "w1"]) == []
+            assert oracle_ranking({}, ["w0", "w1"], mode) == []
 
 
 class TestRetrieveForEntity:
