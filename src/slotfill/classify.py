@@ -174,11 +174,14 @@ class LinearModel:
     feature_hash_bits: int = DEFAULT_HASH_BITS
 
 
+# the SGD step size and L2 decay of svm_train
+SVM_LEARNING_RATE = 0.1
+SVM_L2 = 1e-4
+
+
 @dataclass
 class SVMConfig:
-    learning_rate: float = 0.1
     epochs: int = 20
-    l2: float = 1e-4
     seed: int = 13
     hash_bits: int = DEFAULT_HASH_BITS
 
@@ -219,11 +222,11 @@ def svm_train(dataset: list[tuple[object, int]],
             features, y = featurized[i]
             margin = sum(model.weights[j] * v for j, v in features.items()) \
                 + model.bias
-            model.weights *= (1.0 - config.learning_rate * config.l2)
+            model.weights *= (1.0 - SVM_LEARNING_RATE * SVM_L2)
             if y * margin < 1.0:
                 for j, v in features.items():
-                    model.weights[j] += config.learning_rate * y * v
-                model.bias += config.learning_rate * y
+                    model.weights[j] += SVM_LEARNING_RATE * y * v
+                model.bias += SVM_LEARNING_RATE * y
     return model
 
 

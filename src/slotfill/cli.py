@@ -1,6 +1,7 @@
 """Command-line interface: train, tune, run, score.
 
-The SF_SEED environment variable overrides every RNG seed.
+The SF_SEED environment variable overrides the seed of ``train`` (its
+``--seed``); tune, run and score draw no random numbers.
 """
 
 from __future__ import annotations
@@ -119,13 +120,27 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import configure_run, load_queries, load_system, run_queries, write_answers
+    from .pipeline import (
+        ModelMissingError,
+        configure_run,
+        load_queries,
+        load_system,
+        run_queries,
+        write_answers,
+    )
 
     state = load_system(args.corpus, coref_path=args.coref,
                         models_dir=args.models, tuned_path=args.tuned)
     cfg = configure_run(args.run, coref_enabled=not args.no_coref)
     queries = load_queries(args.queries)
-    answers = run_queries(state, queries, cfg)
+    try:
+        answers = run_queries(state, queries, cfg)
+    except ModelMissingError as exc:
+        # raised at the first candidate that needs the model, so queries
+        # whose slots yield no candidate run without one
+        print(f"error: --models {args.models or '(not given)'}: {exc}",
+              file=sys.stderr)
+        return 1
     write_answers(answers, args.out)
     print(f"run {args.run}: {len(answers)} answers for {len(queries)} queries "
           f"-> {args.out}")

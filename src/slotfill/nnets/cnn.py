@@ -12,6 +12,9 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, INIT_RANGE
 
+# filter width in tokens; one value is used, and model headers record it
+WIDTH = 3
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
@@ -23,7 +26,7 @@ class CNNClassifier:
     kind = "cnn"
 
     def __init__(self, embeddings: EmbeddingMatrix, filters: int = 50,
-                 width: int = 3, hidden: int = 100, seed: int = 13,
+                 width: int = WIDTH, hidden: int = 100, seed: int = 13,
                  params: dict[str, np.ndarray] | None = None):
         self.emb = embeddings
         self.filters = filters

@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 
-def rnn_ensemble_score(p_uni: float | None = None, p_bi: float | None = None,
-                       p_multi: float | None = None) -> float:
+def rnn_ensemble_score(scores: list[float]) -> float:
     """Return the score of the most confident RNN, confidence being
-    max(p, 1-p); ties break in the fixed order uni > bi > multitask."""
-    best = None
-    best_conf = -1.0
-    for p in (p_uni, p_bi, p_multi):
-        if p is None:
-            continue
-        conf = max(p, 1.0 - p)
-        if conf > best_conf:
-            best, best_conf = p, conf
-    if best is None:
+    max(p, 1-p).  ``scores`` holds the present variants in ``rnn.VARIANTS``
+    order, so ties break uni > bi > multitask."""
+    if not scores:
         raise ValueError("at least one RNN score is required")
-    return best
+    return max(scores, key=lambda p: max(p, 1.0 - p))

@@ -22,6 +22,13 @@ VARIANTS = ("uni", "bi", "multitask")
 
 TYPE_OTHER, TYPE_ENTITY, TYPE_FILLER = 0, 1, 2
 
+# the parameters of the forward chain and of bi's reversed chain
+CHAIN_KEYS = (("w_in", "w_rec", "b"), ("w_in_b", "w_rec_b", "b_b"))
+
+# width of the embedded next-word type the multitask net feeds back; one
+# value is used, and model headers record it
+TYPE_DIM = 3
+
 
 def encode_sequence(example) -> tuple[list[str], list[int]]:
     """Marker-delimited token sequence plus per-token type labels."""
@@ -44,7 +51,7 @@ class RNNClassifier:
     kind = "rnn"
 
     def __init__(self, embeddings: EmbeddingMatrix, variant: str = "uni",
-                 hidden: int = 50, type_dim: int = 3, seed: int = 13,
+                 hidden: int = 50, type_dim: int = TYPE_DIM, seed: int = 13,
                  params: dict[str, np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown RNN variant {variant!r}")
@@ -85,8 +92,10 @@ class RNNClassifier:
 
     L2_PARAMS = ("w_in", "w_rec", "out_w", "w_in_b", "w_rec_b", "type_w")
 
-    def _chain(self, x: np.ndarray, w_in, w_rec, b) -> np.ndarray:
-        """Hidden states of a tanh recurrence over the rows of x."""
+    def _chain(self, x: np.ndarray, keys) -> np.ndarray:
+        """Hidden states of a tanh recurrence over the rows of x, with the
+        input, recurrent and bias parameters named by ``keys``."""
+        w_in, w_rec, b = (self._params[k] for k in keys)
         T = x.shape[0]
         h = np.zeros((T, self.hidden), dtype=x.dtype)
         prev = np.zeros(self.hidden, dtype=x.dtype)
@@ -95,12 +104,13 @@ class RNNClassifier:
             h[t] = prev
         return h
 
-    def _chain_backward(self, x, h, w_in, w_rec, dh_final, grads,
-                        key_in="w_in", key_rec="w_rec", key_b="b",
+    def _chain_backward(self, x, h, dh_final, grads, keys=CHAIN_KEYS[0],
                         dh_steps=None):
         """BPTT for one chain; returns d(x).  dh_final is the gradient at the
         final hidden state; dh_steps, if given, holds one extra gradient per
         step (row t joins at hidden state t)."""
+        key_in, key_rec, key_b = keys
+        w_in, w_rec = self._params[key_in], self._params[key_rec]
         T = x.shape[0]
         dx = np.zeros_like(x)
         dh = dh_final
@@ -118,23 +128,15 @@ class RNNClassifier:
             dx[t] = w_in @ dpre
         return dx
 
-    def _forward_uni(self, ids: list[int]) -> dict:
+    def _forward_chains(self, ids: list[int]) -> dict:
+        """The uni net's one chain, or the bi net's forward chain and its
+        chain over the reversed sequence, whose final states sum."""
         x = self.emb.vectors[ids]
-        h = self._chain(x, self._params["w_in"], self._params["w_rec"],
-                        self._params["b"])
-        logits = h[-1] @ self._params["out_w"] + self._params["out_b"]
-        return {"ids": ids, "x": x, "h": h, "probs": softmax(logits)}
-
-    def _forward_bi(self, ids: list[int]) -> dict:
-        x = self.emb.vectors[ids]
-        h_f = self._chain(x, self._params["w_in"], self._params["w_rec"],
-                          self._params["b"])
-        x_rev = x[::-1]
-        h_b = self._chain(x_rev, self._params["w_in_b"], self._params["w_rec_b"],
-                          self._params["b_b"])
-        summed = h_f[-1] + h_b[-1]
-        logits = summed @ self._params["out_w"] + self._params["out_b"]
-        return {"ids": ids, "x": x, "x_rev": x_rev, "h_f": h_f, "h_b": h_b,
+        xs = [x, x[::-1]] if self.variant == "bi" else [x]
+        hs = [self._chain(xc, keys) for xc, keys in zip(xs, CHAIN_KEYS)]
+        final = hs[0][-1] + hs[1][-1] if len(hs) == 2 else hs[0][-1]
+        logits = final @ self._params["out_w"] + self._params["out_b"]
+        return {"ids": ids, "xs": xs, "hs": hs, "final": final,
                 "probs": softmax(logits)}
 
     def _forward_multitask(self, ids: list[int],
@@ -168,12 +170,10 @@ class RNNClassifier:
         if not tokens:
             raise ValueError("empty input sequence")
         ids = self.emb.indices(tokens)
-        if self.variant == "uni":
-            cache = self._forward_uni(ids)
-        elif self.variant == "bi":
-            cache = self._forward_bi(ids)
-        else:
+        if self.variant == "multitask":
             cache = self._forward_multitask(ids, frozen_choices)
+        else:
+            cache = self._forward_chains(ids)
         cache["types"] = types
         return cache
 
@@ -189,38 +189,20 @@ class RNNClassifier:
         dlogits = probs.copy()
         dlogits[label] -= 1.0
 
-        if self.variant == "uni":
-            self._backward_uni(cache, dlogits, grads)
-        elif self.variant == "bi":
-            self._backward_bi(cache, dlogits, grads)
-        else:
+        if self.variant == "multitask":
             loss = loss + self._backward_multitask(cache, dlogits, grads)
+        else:
+            self._backward_chains(cache, dlogits, grads)
         return loss, grads
 
-    def _backward_uni(self, cache, dlogits, grads):
+    def _backward_chains(self, cache, dlogits, grads):
         p = self._params
-        h = cache["h"]
-        grads["out_w"] += np.outer(h[-1], dlogits)
+        grads["out_w"] += np.outer(cache["final"], dlogits)
         grads["out_b"] += dlogits
         dh_final = p["out_w"] @ dlogits
-        dx = self._chain_backward(cache["x"], h, p["w_in"], p["w_rec"],
-                                  dh_final, grads)
-        for t, idx in enumerate(cache["ids"]):
-            grads["emb"][idx] += dx[t]
-
-    def _backward_bi(self, cache, dlogits, grads):
-        p = self._params
-        summed = cache["h_f"][-1] + cache["h_b"][-1]
-        grads["out_w"] += np.outer(summed, dlogits)
-        grads["out_b"] += dlogits
-        ds = p["out_w"] @ dlogits
-        dx_f = self._chain_backward(cache["x"], cache["h_f"], p["w_in"],
-                                    p["w_rec"], ds, grads)
-        dx_b = self._chain_backward(cache["x_rev"], cache["h_b"], p["w_in_b"],
-                                    p["w_rec_b"], ds, grads,
-                                    key_in="w_in_b", key_rec="w_rec_b",
-                                    key_b="b_b")
-        dx = dx_f + dx_b[::-1]
+        dxs = [self._chain_backward(xc, h, dh_final, grads, keys)
+               for xc, h, keys in zip(cache["xs"], cache["hs"], CHAIN_KEYS)]
+        dx = dxs[0] + dxs[1][::-1] if len(dxs) == 2 else dxs[0]
         for t, idx in enumerate(cache["ids"]):
             grads["emb"][idx] += dx[t]
 
@@ -258,8 +240,7 @@ class RNNClassifier:
 
         grads["out_w"] += np.outer(h[-1], dlogits)
         grads["out_b"] += dlogits
-        dx = self._chain_backward(x, h, p["w_in"], p["w_rec"],
-                                  p["out_w"] @ dlogits, grads,
+        dx = self._chain_backward(x, h, p["out_w"] @ dlogits, grads,
                                   dh_steps=dh_steps)
         for t in range(T - 1, -1, -1):
             grads["emb"][cache["ids"][t]] += dx[t, :d]

@@ -12,6 +12,11 @@ from .persist import model_from_header, model_header
 
 log = logging.getLogger(__name__)
 
+# the global gradient norm a batch update is clipped to, and the L2 decay
+# of the weight matrices
+CLIP_NORM = 5.0
+L2 = 1e-4
+
 
 @dataclass
 class TrainConfig:
@@ -19,8 +24,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     seed: int = 13
-    clip_norm: float = 5.0
-    l2: float = 1e-4
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -77,14 +80,14 @@ def train(model, dataset: list[tuple[object, int]], config: TrainConfig,
             for name in accum:
                 accum[name] *= scale
             norm = _global_norm(accum)
-            if config.clip_norm > 0 and norm > config.clip_norm:
-                clip_scale = config.clip_norm / norm
+            if norm > CLIP_NORM:
+                clip_scale = CLIP_NORM / norm
                 for name in accum:
                     accum[name] *= clip_scale
             for name, p in params.items():
                 g = accum[name]
                 if name in decay:
-                    g = g + config.l2 * p
+                    g = g + L2 * p
                 p -= config.learning_rate * g
             epoch_loss += batch_loss
         result.loss_trace.append(epoch_loss / n)

@@ -39,6 +39,7 @@ from .mentions import (
     nominal_anaphora_heuristic,
 )
 from .nnets import load_model, rnn_ensemble_score
+from .nnets.rnn import VARIANTS as RNN_VARIANTS
 from .postprocess import (
     Answer,
     disambiguate_location,
@@ -108,19 +109,21 @@ def classifier_view(example, swapped: bool) -> ClassifierView:
 
 
 class ModelRegistry:
-    """Trained per-slot models, keyed by the canonical slot name."""
+    """Trained per-slot models: ``models[slot][kind]`` lists the models of
+    one classifier kind for one canonical slot, one SVM or CNN, or the RNN
+    variants present in ``VARIANTS`` order (the ensemble's tie order)."""
 
     def __init__(self):
-        self.svms: dict[str, object] = {}
-        self.cnns: dict[str, object] = {}
-        self.rnns: dict[str, dict[str, object]] = {}
+        self.models: dict[str, dict[str, list]] = {}
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "ModelRegistry":
-        registry = cls()
+        """Every ``.npz`` model in ``directory``; two files holding the
+        model of one slot, kind and RNN variant are refused."""
         directory = Path(directory)
         if not directory.is_dir():
             raise FileNotFoundError(f"models directory not found: {directory}")
+        found: dict[tuple[str, str, int], tuple[Path, object]] = {}
         for path in sorted(directory.glob("*.npz")):
             with np.load(path) as data:
                 if "header" in data.files:
@@ -130,36 +133,28 @@ class ModelRegistry:
                 else:
                     slot = bytes(data["slot"]).decode("utf-8")
                     kind = "svm"
-            if kind == "svm":
-                registry.svms[slot] = load_svm(path)
-            else:
-                model = load_model(path)
-                if kind == "cnn":
-                    registry.cnns[slot] = model
-                else:
-                    registry.rnns.setdefault(slot, {})[model.variant] = model
+            model = load_svm(path) if kind == "svm" else load_model(path)
+            key = (slot, kind,
+                   RNN_VARIANTS.index(model.variant) if kind == "rnn" else 0)
+            if key in found:
+                raise ValueError(f"{found[key][0]} and {path} hold the same "
+                                 f"{kind} model for slot {slot!r}")
+            found[key] = (path, model)
+        registry = cls()
+        for slot, kind, rank in sorted(found):
+            registry.models.setdefault(slot, {}).setdefault(kind, []).append(
+                found[slot, kind, rank][1])
         return registry
 
-    def svm_for(self, slot: str):
-        if slot not in self.svms:
-            raise ModelMissingError(f"no SVM model for slot {slot!r}")
-        return self.svms[slot]
-
-    def cnn_for(self, slot: str):
-        if slot not in self.cnns:
-            raise ModelMissingError(f"no CNN model for slot {slot!r}")
-        return self.cnns[slot]
-
-    def rnns_for(self, slot: str) -> dict[str, object]:
-        if slot not in self.rnns or not self.rnns[slot]:
-            raise ModelMissingError(f"no RNN models for slot {slot!r}")
-        return self.rnns[slot]
+    def models_for(self, slot: str, kind: str) -> list:
+        """The models of ``kind`` for ``slot``; ModelMissingError if none."""
+        if not self.models.get(slot, {}).get(kind):
+            raise ModelMissingError(f"no {kind} model for slot {slot!r}")
+        return self.models[slot][kind]
 
     def kinds_for(self, slot: str) -> frozenset[str]:
         """The classifier kinds with a trained model for ``slot``."""
-        held = {"svm": slot in self.svms, "cnn": slot in self.cnns,
-                "rnn": bool(self.rnns.get(slot))}
-        return frozenset(kind for kind, present in held.items() if present)
+        return frozenset(self.models.get(slot, ()))
 
 
 def classifier_scores(models: ModelRegistry, canonical: str, view,
@@ -169,17 +164,12 @@ def classifier_scores(models: ModelRegistry, canonical: str, view,
     without a model for ``canonical`` raises ModelMissingError."""
     scores = {}
     if "svm" in kinds:
-        scores["svm"] = svm_score(models.svm_for(canonical), view)
+        scores["svm"] = svm_score(models.models_for(canonical, "svm")[0], view)
     if "cnn" in kinds:
-        scores["cnn"] = models.cnn_for(canonical).forward(view)
+        scores["cnn"] = models.models_for(canonical, "cnn")[0].forward(view)
     if "rnn" in kinds:
-        variants = models.rnns_for(canonical)
         scores["rnn"] = rnn_ensemble_score(
-            p_uni=variants["uni"].forward(view) if "uni" in variants else None,
-            p_bi=variants["bi"].forward(view) if "bi" in variants else None,
-            p_multi=variants["multitask"].forward(view)
-            if "multitask" in variants else None,
-        )
+            [m.forward(view) for m in models.models_for(canonical, "rnn")])
     return scores
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .classify import SVMConfig, save_svm, svm_train
@@ -36,30 +37,27 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ModelTrainingConfig:
+    """The settings callers vary.  The CNN filter width, the RNN type width,
+    gradient clipping and the L2 decay and SVM step size are constants:
+    ``cnn.WIDTH``, ``rnn.TYPE_DIM``, ``training.CLIP_NORM``/``L2`` and
+    ``classify.SVM_LEARNING_RATE``/``SVM_L2``."""
     dim: int = 50
     filters: int = 50
-    width: int = 3
     cnn_hidden: int = 100
     rnn_hidden: int = 50
-    type_dim: int = 3
     epochs: int = 50
     learning_rate: float = 0.05
     batch_size: int = 16
-    clip_norm: float = 5.0
-    l2: float = 1e-4
     seed: int = 13
     svm_epochs: int = 20
-    svm_learning_rate: float = 0.1
     embedding_file: str | None = None
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                           batch_size=self.batch_size, seed=self.seed,
-                           clip_norm=self.clip_norm, l2=self.l2)
+                           batch_size=self.batch_size, seed=self.seed)
 
     def svm_config(self) -> SVMConfig:
-        return SVMConfig(learning_rate=self.svm_learning_rate,
-                         epochs=self.svm_epochs, l2=self.l2, seed=self.seed)
+        return SVMConfig(epochs=self.svm_epochs, seed=self.seed)
 
 
 def slot_file_stem(slot: str) -> str:
@@ -115,33 +113,27 @@ def train_slot_model(examples: list[LabeledExample], slot: str, kind: str,
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = slot_file_stem(slot)
     dataset = [(ex, ex.label) for ex in examples]
-    written: list[Path] = []
-
     if kind == "svm":
-        model = svm_train(dataset, cfg.svm_config())
         path = out_dir / f"{stem}.svm.npz"
-        save_svm(model, path, slot=slot)
-        written.append(path)
-    elif kind == "cnn":
-        model = CNNClassifier(_embeddings(examples, cfg), filters=cfg.filters,
-                              width=cfg.width, hidden=cfg.cnn_hidden,
-                              seed=cfg.seed)
-        result = train(model, dataset, cfg.train_config())
-        log.info("slot %s cnn: train accuracy %.3f", slot, result.train_accuracy)
-        path = out_dir / f"{stem}.cnn.npz"
-        save_model(model, path, slot=slot)
-        written.append(path)
+        save_svm(svm_train(dataset, cfg.svm_config()), path, slot=slot)
+        return [path]
+    if kind == "cnn":
+        builders = {"cnn": partial(CNNClassifier, filters=cfg.filters,
+                                   hidden=cfg.cnn_hidden, seed=cfg.seed)}
     elif kind == "rnn":
-        for variant in RNN_VARIANTS:
-            model = RNNClassifier(_embeddings(examples, cfg), variant=variant,
-                                  hidden=cfg.rnn_hidden, type_dim=cfg.type_dim,
-                                  seed=cfg.seed)
-            result = train(model, dataset, cfg.train_config())
-            log.info("slot %s rnn/%s: train accuracy %.3f", slot, variant,
-                     result.train_accuracy)
-            path = out_dir / f"{stem}.rnn.{variant}.npz"
-            save_model(model, path, slot=slot)
-            written.append(path)
+        builders = {f"rnn.{variant}": partial(
+            RNNClassifier, variant=variant, hidden=cfg.rnn_hidden,
+            seed=cfg.seed) for variant in RNN_VARIANTS}
     else:
         raise ValueError(f"unknown model kind {kind!r}")
+    written: list[Path] = []
+    for name, build in builders.items():
+        # built as it is trained, not all up front, to bound memory
+        model = build(_embeddings(examples, cfg))
+        result = train(model, dataset, cfg.train_config())
+        log.info("slot %s %s: train accuracy %.3f", slot, name,
+                 result.train_accuracy)
+        path = out_dir / f"{stem}.{name}.npz"
+        save_model(model, path, slot=slot)
+        written.append(path)
     return written

@@ -27,7 +27,7 @@ TRAINED_SLOTS = (
 )
 RNN_SLOTS = ("per:location_of_birth",)  # run-3 smoke coverage
 
-FIXTURE_TRAIN_CONFIG = dict(dim=16, filters=12, width=3, cnn_hidden=16,
+FIXTURE_TRAIN_CONFIG = dict(dim=16, filters=12, cnn_hidden=16,
                             rnn_hidden=16, epochs=60, learning_rate=0.5,
                             batch_size=8)
 

@@ -93,6 +93,23 @@ class TestTuneCommand:
 
 
 class TestRunAndScore:
+    def test_run_3_without_rnn_for_a_slot(self, fixtures_dir,
+                                          trained_models_dir, tmp_path,
+                                          capsys):
+        # the fixture models hold RNNs for per:location_of_birth only
+        out = tmp_path / "answers.tsv"
+        rc = main(["run", "--queries", str(fixtures_dir / "queries.jsonl"),
+                   "--corpus", str(fixtures_dir / "corpus.jsonl"),
+                   "--coref", str(fixtures_dir / "coref.tsv"),
+                   "--models", str(trained_models_dir),
+                   "--run", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(trained_models_dir) in err
+        assert "no rnn model for slot 'per:location_of_residence'" in err
+        assert not out.exists()
+
     def test_no_coref_flag(self, fixtures_dir, trained_models_dir, tmp_path):
         out = tmp_path / "answers.tsv"
         rc = main(["run", "--queries", str(fixtures_dir / "queries.jsonl"),

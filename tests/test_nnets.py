@@ -276,20 +276,45 @@ class TestTraining:
 
 class TestEnsemble:
     def test_most_confident_wins(self):
-        assert rnn_ensemble_score(0.9, 0.6, 0.2) == 0.9
+        assert rnn_ensemble_score([0.9, 0.6, 0.2]) == 0.9
 
     def test_tie_prefers_uni(self):
-        assert rnn_ensemble_score(0.3, 0.7, None) == 0.3
+        assert rnn_ensemble_score([0.3, 0.7]) == 0.3
 
     def test_single_score(self):
-        assert rnn_ensemble_score(None, 0.42, None) == 0.42
+        assert rnn_ensemble_score([0.42]) == 0.42
 
     def test_all_absent_rejected(self):
         with pytest.raises(ValueError):
-            rnn_ensemble_score(None, None, None)
+            rnn_ensemble_score([])
 
     def test_low_score_can_be_most_confident(self):
-        assert rnn_ensemble_score(0.6, None, 0.1) == 0.1
+        assert rnn_ensemble_score([0.6, 0.1]) == 0.1
+
+    def test_equal_confidence_keeps_the_earlier_variant(self):
+        assert rnn_ensemble_score([0.7, 0.3]) == 0.7
+
+
+class TestExtremeParameters:
+    """Scaled-up weights saturate every tanh and softmax; the score must stay
+    a probability and the loss and gradients finite, with no float error."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e12])
+    @pytest.mark.parametrize("variant", ["cnn", "uni", "bi", "multitask"])
+    def test_scores_loss_and_grads_stay_finite(self, scale, variant):
+        emb = small_embeddings()
+        model = CNNClassifier(emb, filters=4, width=2, hidden=3, seed=1) \
+            if variant == "cnn" else RNNClassifier(emb, variant=variant,
+                                                   hidden=4, seed=1)
+        for arr in model.params().values():
+            arr *= scale
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for ex in (EX, Example(("a",), (), (), False)):
+                assert 0.0 <= model.forward(ex) <= 1.0
+                for label in (0, 1):
+                    loss, grads = model.loss_and_grads(ex, label)
+                    assert np.isfinite(loss)
+                    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestPersistence:

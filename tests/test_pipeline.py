@@ -1,6 +1,7 @@
 """Orchestration: run configs, scorer arithmetic, end-to-end behavior."""
 
 import json
+import shutil
 
 import pytest
 
@@ -24,6 +25,7 @@ from slotfill.pipeline import (
     validate_cold_start,
     write_answers,
 )
+from slotfill.nnets.rnn import VARIANTS as RNN_VARIANTS
 from slotfill.query import SlotQuery
 from slotfill.retrieval import build_index
 from slotfill import resources
@@ -256,6 +258,7 @@ class TestClassifierScores:
     @pytest.mark.parametrize("slot, kinds", [
         ("per:location_of_birth", {"svm", "cnn", "rnn"}),
         ("per:schools_attended", {"svm", "cnn"}),
+        ("per:age", set()),
     ])
     def test_registry_kinds_give_exactly_those_keys(self, system_state, slot,
                                                     kinds):
@@ -264,6 +267,18 @@ class TestClassifierScores:
         scores = classifier_scores(models, slot, VIEW, models.kinds_for(slot))
         assert set(scores) == kinds
         assert all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+class TestModelTable:
+    def test_rnn_variants_in_ensemble_order(self, system_state):
+        # the file names sort bi, multitask, uni
+        rnns = system_state.models.models_for("per:location_of_birth", "rnn")
+        assert tuple(m.variant for m in rnns) == RNN_VARIANTS
+
+    def test_missing_model_names_slot_and_kind(self, system_state):
+        with pytest.raises(ModelMissingError,
+                           match=r"rnn model for slot 'per:schools_attended'"):
+            system_state.models.models_for("per:schools_attended", "rnn")
 
 
 class TestModelsDir:
@@ -276,6 +291,19 @@ class TestModelsDir:
         with pytest.raises(FileNotFoundError, match="models directory"):
             load_system(tmp_path / "corpus.jsonl",
                         models_dir=tmp_path / "typo")
+
+    def test_duplicate_model_files_refused_before_ingest(
+            self, trained_models_dir, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        svm = trained_models_dir / "per_location_of_birth.svm.npz"
+        shutil.copy(svm, models / svm.name)
+        shutil.copy(svm, models / "copy.svm.npz")
+        # the corpus does not exist: the models are read first
+        with pytest.raises(ValueError, match=r"copy\.svm\.npz and .*"
+                           r"per_location_of_birth\.svm\.npz .*svm model for "
+                           r"slot 'per:location_of_birth'"):
+            load_system(tmp_path / "corpus.jsonl", models_dir=models)
 
 
 class TestTunedFile:

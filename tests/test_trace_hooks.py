@@ -1,8 +1,12 @@
-"""The benchmark's per-layer tracer hooks slotfill functions by module
-attribute name; every name it counts must still exist, or its metrics read
-zero without an error."""
+"""The benchmark calls slotfill by name: its per-layer tracer hooks
+functions by module attribute name, and its run script calls the package
+and configures training.  Every such name must still exist, or a metric
+reads zero without an error or the benchmark fails."""
 
+import ast
+import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -39,4 +43,27 @@ def test_counted_names_exist():
                 if not hasattr(trainer, n)]
     missing += [f"retrieval.{n}" for n in ("query_and", "query_or")
                 if not hasattr(retrieval, n)]
+    assert not missing
+
+
+def test_run_script_names_exist(monkeypatch):
+    # run.py sets thread-count variables when it is loaded
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    run = _load("run")
+    trainer.ModelTrainingConfig(epochs=1, svm_epochs=1, **run.MODEL_CONFIG)
+    # Run keeps the modules it calls as attributes, query as query_mod
+    held = {"pipeline": "pipeline", "trainer": "trainer",
+            "traindata": "traindata", "query_mod": "query",
+            "resources": "resources"}
+    called = []
+    for node in ast.walk(ast.parse((PERFBENCH / "run.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("slotfill"):
+            called += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr in held:
+            called.append((f"slotfill.{held[node.value.attr]}", node.attr))
+    assert len(called) > 10
+    missing = [f"{m}.{n}" for m, n in called
+               if not hasattr(importlib.import_module(m), n)]
     assert not missing
