@@ -173,9 +173,19 @@ def classifier_scores(models: ModelRegistry, canonical: str, view,
     return scores
 
 
+# entities the memo holds before both its dicts are cleared: an entity with
+# 100 retrieved documents holds about 24 KB of seed mentions and tagged
+# sentences, so the memo stays near 6 MB
+MEMO_ENTITIES = 256
+
+
 @dataclass
 class SystemState:
-    """Read-only resources shared by all queries of a run."""
+    """Resources shared by all queries of a run, read-only once the first
+    query ran, plus the memo those queries fill: ``entities`` maps
+    ``(entity_name, entity_type)`` to its retrieved documents paired with
+    their seed name mentions, and ``tags`` maps ``(doc_id, sentence_index)``
+    to the sentence's NE spans.  Both start empty and hold tuples."""
     store: DocumentStore
     index: InvertedIndex
     slot_configs: dict
@@ -189,6 +199,8 @@ class SystemState:
     weights: dict
     coref: dict = field(default_factory=dict)
     models: ModelRegistry = field(default_factory=ModelRegistry)
+    entities: dict = field(default_factory=dict)
+    tags: dict = field(default_factory=dict)
 
 
 def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
@@ -252,8 +264,7 @@ def _exact_name_mentions(seed: list, name: str) -> list:
     return [m for m in seed if m.kind == "exact" and m.surface.lower() == target]
 
 
-def _collect_mentions(state: SystemState, doc, seed: list,
-                      cfg: RunConfig, tag_cache: dict):
+def _collect_mentions(state: SystemState, doc, seed, cfg: RunConfig):
     """The seed name mentions, plus coref chains and the nominal heuristic
     when coreference is enabled."""
     if not cfg.coref_enabled:
@@ -265,18 +276,42 @@ def _collect_mentions(state: SystemState, doc, seed: list,
     blocked: dict[int, set[int]] = {}
     for t in {m.sentence_index + 1 for m in merged}:
         if t < len(doc.sentences):
-            spans = _tagged(state, doc, t, tag_cache)
+            spans = _tagged(state, doc, t)
             blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
                           for i in range(s.token_start, s.token_end)}
     heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
     return merge_mentions(merged, heuristic)
 
 
-def _tagged(state: SystemState, doc, sentence_index: int, cache: dict):
-    key = (doc.id, sentence_index)
-    if key not in cache:
-        cache[key] = tag_entities(doc.sentences[sentence_index], state.gazetteers)
-    return cache[key]
+def _tagged(state: SystemState, doc, sentence_index: int) -> tuple:
+    spans = state.tags.get((doc.id, sentence_index))
+    if spans is None:
+        spans = state.tags[doc.id, sentence_index] = tuple(
+            tag_entities(doc.sentences[sentence_index], state.gazetteers))
+    return spans
+
+
+def _seeded(state: SystemState, query: SlotQuery) -> tuple:
+    """The query entity's retrieved documents, each paired with its seed name
+    mentions (one mention pass per document serves linking, the gate and
+    extraction), memoised per entity name and type."""
+    key = (query.entity_name, query.entity_type)
+    seeded = state.entities.get(key)
+    if seeded is None:
+        if len(state.entities) >= MEMO_ENTITIES:
+            state.entities.clear()
+            state.tags.clear()
+        raw_aliases = state.alias_table.get(query.entity_name, [])
+        aliases = clean_aliases(query.entity_name, raw_aliases,
+                                query.entity_type, state.nicknames)
+        ir_alias = select_ir_alias(query.entity_name, aliases)
+        doc_ids = retrieve_for_entity(state.index, query.entity_name, ir_alias,
+                                      query.entity_type)
+        names = [query.entity_name] + aliases
+        seeded = state.entities[key] = tuple(
+            (doc, tuple(find_name_mentions(doc, names)))
+            for doc in map(state.store.get, doc_ids))
+    return seeded
 
 
 def _score_candidate(state: SystemState, cfg: RunConfig, candidate,
@@ -320,23 +355,14 @@ def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
 
 def extract_candidates(state: SystemState, query: SlotQuery,
                        cfg: RunConfig) -> list:
-    """The pre-classification pipeline stages: alias expansion, retrieval,
-    the optional entity-linking gate, mention finding, and extraction."""
+    """The pre-classification pipeline stages: alias expansion, retrieval
+    and the seed mention pass (memoised per entity on ``state``), the
+    optional entity-linking gate, coreference, and extraction."""
     slot_cfg = state.slot_configs.get(query.slot)
     if slot_cfg is None:
         raise ValueError(f"unknown slot {query.slot!r}")
 
-    raw_aliases = state.alias_table.get(query.entity_name, [])
-    aliases = clean_aliases(query.entity_name, raw_aliases, query.entity_type,
-                            state.nicknames)
-    ir_alias = select_ir_alias(query.entity_name, aliases)
-    doc_ids = retrieve_for_entity(state.index, query.entity_name, ir_alias,
-                                  query.entity_type)
-    names = [query.entity_name] + aliases
-    # one mention pass per document serves linking, the gate and extraction
-    seeded = [(doc, find_name_mentions(doc, names))
-              for doc in map(state.store.get, doc_ids)]
-
+    seeded = _seeded(state, query)
     if cfg.entity_linking and seeded:
         context: Counter = Counter()
         for doc, seed in seeded:
@@ -350,15 +376,14 @@ def extract_candidates(state: SystemState, query: SlotQuery,
                                                  target, state.kb,
                                                  query.entity_name)]
 
-    tag_cache: dict = {}
     candidates = []
     for doc, seed in seeded:
-        mentions = _collect_mentions(state, doc, seed, cfg, tag_cache)
+        mentions = _collect_mentions(state, doc, seed, cfg)
         if not mentions:
             continue
         chains = state.coref.get(doc.id, []) if cfg.coref_enabled else []
         for sentence_index in sorted({m.sentence_index for m in mentions}):
-            spans = _tagged(state, doc, sentence_index, tag_cache)
+            spans = _tagged(state, doc, sentence_index)
             found = candidates_for_slot(doc, sentence_index, mentions, slot_cfg,
                                         spans, chains=chains, query_id=query.id)
             candidates.extend(

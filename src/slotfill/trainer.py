@@ -93,14 +93,6 @@ def _vocabulary(examples: list[LabeledExample]) -> list[str]:
     return words
 
 
-def _embeddings(examples, cfg: ModelTrainingConfig) -> EmbeddingMatrix:
-    pretrained = None
-    if cfg.embedding_file:
-        pretrained = load_embedding_file(cfg.embedding_file)
-    return EmbeddingMatrix.build(_vocabulary(examples), dim=cfg.dim,
-                                 seed=cfg.seed, pretrained=pretrained)
-
-
 def train_slot_model(examples: list[LabeledExample], slot: str, kind: str,
                      out_dir: str | Path,
                      cfg: ModelTrainingConfig | None = None) -> list[Path]:
@@ -126,10 +118,15 @@ def train_slot_model(examples: list[LabeledExample], slot: str, kind: str,
             seed=cfg.seed) for variant in RNN_VARIANTS}
     else:
         raise ValueError(f"unknown model kind {kind!r}")
+    # read once per job; every network still trains its own fresh matrix
+    pretrained = (load_embedding_file(cfg.embedding_file)
+                  if cfg.embedding_file else None)
+    vocabulary = _vocabulary(examples)
     written: list[Path] = []
     for name, build in builders.items():
         # built as it is trained, not all up front, to bound memory
-        model = build(_embeddings(examples, cfg))
+        model = build(EmbeddingMatrix.build(vocabulary, dim=cfg.dim,
+                                            seed=cfg.seed, pretrained=pretrained))
         result = train(model, dataset, cfg.train_config())
         log.info("slot %s %s: train accuracy %.3f", slot, name,
                  result.train_accuracy)

@@ -57,7 +57,15 @@ def trained_models_dir(tmp_path_factory) -> Path:
 
 
 @pytest.fixture(scope="session")
-def system_state(trained_models_dir):
-    return load_system(FIXTURES / "corpus.jsonl",
-                       coref_path=FIXTURES / "coref.tsv",
-                       models_dir=trained_models_dir)
+def load_fixture_system(trained_models_dir):
+    """Builds a new system over the fixture corpus, with an empty memo."""
+    def load():
+        return load_system(FIXTURES / "corpus.jsonl",
+                           coref_path=FIXTURES / "coref.tsv",
+                           models_dir=trained_models_dir)
+    return load
+
+
+@pytest.fixture(scope="session")
+def system_state(load_fixture_system):
+    return load_fixture_system()

@@ -335,3 +335,43 @@ class TestPersistence:
             loaded = load_model(p)
             assert loaded.variant == variant
             assert loaded.forward(EX) == model.forward(EX)
+
+
+class TestEmbeddingsPerJob:
+    def test_rnn_job_reads_embeddings_once(self, tmp_path, monkeypatch,
+                                           fixtures_dir):
+        from slotfill import trainer
+        from slotfill.nnets.rnn import VARIANTS
+        from slotfill.traindata import load_examples
+
+        slot = "per:location_of_birth"
+        examples = [e for e in load_examples(fixtures_dir / "seed_examples.jsonl")
+                    if e.slot == slot]
+        vec = tmp_path / "vec.txt"
+        vec.write_text("born 0.5 -0.5 0.5 -0.5\n")
+        cfg = trainer.ModelTrainingConfig(dim=4, rnn_hidden=4, epochs=2,
+                                          batch_size=4, embedding_file=str(vec))
+        calls = []
+
+        def load(path):
+            calls.append(path)
+            return load_embedding_file(path)
+
+        monkeypatch.setattr(trainer, "load_embedding_file", load)
+        paths = trainer.train_slot_model(examples, slot, "rnn",
+                                         tmp_path / "models", cfg)
+        assert calls == [str(vec)]
+        # oracle: each network built from its own read of the file
+        words = [w for e in examples for w in e.left + e.middle + e.right]
+        dataset = [(e, e.label) for e in examples]
+        for path, variant in zip(paths, VARIANTS):
+            emb = EmbeddingMatrix.build(words, dim=4, seed=cfg.seed,
+                                        pretrained=load_embedding_file(vec))
+            model = RNNClassifier(emb, variant=variant, hidden=4, seed=cfg.seed)
+            train(model, dataset, cfg.train_config())
+            expected = tmp_path / f"expected.{variant}.npz"
+            save_model(model, expected, slot=slot)
+            with np.load(path) as got, np.load(expected) as want:
+                assert got.files == want.files
+                for key in want.files:
+                    assert np.array_equal(got[key], want[key]), (variant, key)

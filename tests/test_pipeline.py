@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -337,7 +338,7 @@ class TestTunedFile:
 
 class TestOneMentionPass:
     def test_run4_finds_mentions_once_per_retrieved_doc(
-            self, system_state, queries, monkeypatch):
+            self, load_fixture_system, queries, monkeypatch):
         from slotfill import pipeline
 
         retrieved, searched, gated = [], [], []
@@ -361,11 +362,22 @@ class TestOneMentionPass:
         monkeypatch.setattr(pipeline, "retrieve_for_entity", retrieve)
         monkeypatch.setattr(pipeline, "find_name_mentions", find)
         monkeypatch.setattr(pipeline, "document_matches_entity", gate)
+        # a fresh state: memo hits from other tests would retrieve and
+        # search nothing
+        state = load_fixture_system()
+        first_searched, entities = [], set()
         for query in queries:
             retrieved.clear()
             searched.clear()
-            run_query(system_state, query, configure_run(4))
+            run_query(state, query, configure_run(4))
             assert sorted(searched) == sorted(retrieved), query.id
+            entity = (query.entity_name, query.entity_type)
+            if entity in entities:
+                assert searched == [], query.id
+            else:
+                first_searched += searched
+            entities.add(entity)
+        assert first_searched, "no fixture query retrieved a document"
         assert gated, "no fixture query reached the linking gate"
 
     def test_exact_name_mentions_match_single_name_pass(self, system_state,
@@ -391,6 +403,92 @@ class TestOneMentionPass:
                 found += len(oracle)
                 dropped += sum(m.kind == "exact" for m in seed) - len(oracle)
         assert found and dropped
+
+
+# one name asked both as PER and as GPE, which skips the OR tier of retrieval
+GPE_QUERY = SlotQuery("qg", "Steve Miller", "GPE", "per:cities_of_residence")
+MEMO_RUNS = [(run_id, coref) for run_id in (1, 2, 4, 5)
+             for coref in (True, False)]
+
+
+def _count_memoised_work(state, monkeypatch):
+    """Counters of the entities the queries reach, of retrieval per
+    (entity_name, entity_type) and of tagging per (doc_id, sentence_index),
+    filled through wrappers of ``pipeline``'s names."""
+    from slotfill import pipeline
+
+    real_extract = pipeline.extract_candidates
+    real_retrieve = pipeline.retrieve_for_entity
+    real_tag = pipeline.tag_entities
+    where = {id(s): (d.id, s.index) for d in state.store for s in d.sentences}
+    reached, retrieved, tagged = set(), Counter(), Counter()
+
+    def extract(state, query, cfg):
+        reached.add((query.entity_name, query.entity_type))
+        return real_extract(state, query, cfg)
+
+    def retrieve(index, name, ir_alias, entity_type):
+        retrieved[name, entity_type] += 1
+        return real_retrieve(index, name, ir_alias, entity_type)
+
+    def tag(sentence, gazetteers):
+        tagged[where[id(sentence)]] += 1
+        return real_tag(sentence, gazetteers)
+
+    monkeypatch.setattr(pipeline, "extract_candidates", extract)
+    monkeypatch.setattr(pipeline, "retrieve_for_entity", retrieve)
+    monkeypatch.setattr(pipeline, "tag_entities", tag)
+    return reached, retrieved, tagged
+
+
+class TestSharedMemo:
+    """One state answers every query of a run; per-entity retrieval and
+    mention finding and per-sentence tagging are memoised on it."""
+
+    @pytest.mark.parametrize("run_id,coref", MEMO_RUNS)
+    def test_shared_state_matches_fresh_state_per_query(
+            self, load_fixture_system, queries, run_id, coref, monkeypatch,
+            tmp_path):
+        cfg = configure_run(run_id, coref_enabled=coref)
+        asked = queries + [GPE_QUERY]
+        fresh = [a for q in asked
+                 for a in run_queries(load_fixture_system(), [q], cfg)]
+        state = load_fixture_system()
+        reached, retrieved, tagged = _count_memoised_work(state, monkeypatch)
+        shared = run_queries(state, asked, cfg)
+        write_answers(fresh, tmp_path / "fresh.tsv")
+        write_answers(shared, tmp_path / "shared.tsv")
+        assert (tmp_path / "shared.tsv").read_bytes() == \
+            (tmp_path / "fresh.tsv").read_bytes()
+        assert shared
+        # every entity reached is retrieved once, PER and GPE apart
+        assert retrieved == Counter(reached)
+        assert {("Steve Miller", "PER"), ("Steve Miller", "GPE")} <= reached
+        assert tagged and max(tagged.values()) == 1
+        docs = {t: [doc.id for doc, _ in state.entities["Steve Miller", t]]
+                for t in ("PER", "GPE")}
+        assert set(docs["GPE"]) < set(docs["PER"])
+
+    @pytest.mark.parametrize("run_id", [2, 4])
+    def test_cap_clears_memo_and_keeps_answers(
+            self, load_fixture_system, queries, run_id, monkeypatch, tmp_path):
+        from slotfill import pipeline
+
+        cfg = configure_run(run_id)
+        asked = queries + [GPE_QUERY]
+        write_answers(run_queries(load_fixture_system(), asked, cfg),
+                      tmp_path / "uncapped.tsv")
+        monkeypatch.setattr(pipeline, "MEMO_ENTITIES", 1)
+        state = load_fixture_system()
+        reached, retrieved, _ = _count_memoised_work(state, monkeypatch)
+        write_answers(run_queries(state, asked, cfg), tmp_path / "capped.tsv")
+        assert (tmp_path / "capped.tsv").read_bytes() == \
+            (tmp_path / "uncapped.tsv").read_bytes()
+        # an entity asked again after another one is retrieved again
+        assert sum(retrieved.values()) > len(reached)
+        assert len(state.entities) == 1
+        [seeded] = state.entities.values()
+        assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, _ in seeded}
 
 
 class TestLoadQueries:
