@@ -18,7 +18,8 @@ log = logging.getLogger(__name__)
 
 GENRES = ("news", "forum")
 
-_PUNCT = set(string.punctuation)
+_PUNCT = frozenset(string.punctuation)
+
 
 def _load_abbreviations() -> tuple[str, ...]:
     path = Path(__file__).parent / "data" / "abbreviations.txt"
@@ -29,28 +30,29 @@ def _load_abbreviations() -> tuple[str, ...]:
         return ("Dr.", "Mr.", "Mrs.", "Ms.", "Inc.", "Corp.", "Co.", "U.S.", "St.")
 
 
-# Periods after these never end a sentence.
-DEFAULT_ABBREVIATIONS = _load_abbreviations()
+# Lowercased; periods closing these never end a sentence.
+ABBREVIATIONS = frozenset(a.lower() for a in _load_abbreviations())
 
 _QUOTE_TAG_RE = re.compile(r"</?quote>")
-_SENT_END = set(".!?")
-_CLOSERS = set("\"')]}”’")
+_WORD_RE = re.compile(r"\S+")
+_CLOSERS = "\"')]}”’"
+# a sentence-final mark with its closers, then whitespace (the end of the
+# text ends a sentence anyway)
+_SENT_END_RE = re.compile(rf"[.!?][{re.escape(_CLOSERS)}]*(?=\s)")
+_FORUM_SENT_END_RE = re.compile(rf"\n|{_SENT_END_RE.pattern}")
+_POSSESSIVE = frozenset(("'s", "'S"))
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    char_start: int
-    char_end: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
+    """One sentence as parallel columns: token ``texts``, their lowercase
+    forms (``lower[i] is texts[i]`` when the word is lowercase already) and
+    the character offsets of each token in the document's raw text."""
     index: int
-    tokens: tuple[Token, ...]
-
-    def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+    texts: tuple[str, ...]
+    lower: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -141,37 +143,21 @@ def normalize_case(token_text: str) -> str:
     return token_text
 
 
-def split_sentences(text: str, genre: str = "news",
-                    abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
-                    ) -> list[tuple[int, int]]:
+def split_sentences(text: str, genre: str = "news") -> list[tuple[int, int]]:
     """Split text into sentence spans (character offsets, trimmed to content).
 
     A sentence ends at ``. ! ?`` (plus trailing closers) followed by
     whitespace, unless the period closes a known abbreviation.  Forum text
     additionally breaks at hard newlines.
     """
-    abbrev = {a.lower() for a in abbreviations}
     boundaries = [0]
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if genre == "forum" and ch == "\n":
-            boundaries.append(i + 1)
-            i += 1
+    pattern = _FORUM_SENT_END_RE if genre == "forum" else _SENT_END_RE
+    for m in pattern.finditer(text):
+        i = m.start()
+        if text[i] == "." and _is_abbreviation(text, i):
             continue
-        if ch in _SENT_END:
-            j = i + 1
-            while j < n and text[j] in _CLOSERS:
-                j += 1
-            if j >= n or text[j].isspace():
-                if ch == "." and _is_abbreviation(text, i, abbrev):
-                    i += 1
-                    continue
-                boundaries.append(j)
-                i = j
-                continue
-        i += 1
+        boundaries.append(m.end())
+    n = len(text)
     if boundaries[-1] != n:
         boundaries.append(n)
 
@@ -183,12 +169,11 @@ def split_sentences(text: str, genre: str = "news",
     return spans
 
 
-def _is_abbreviation(text: str, period_idx: int, abbrev: set[str]) -> bool:
+def _is_abbreviation(text: str, period_idx: int) -> bool:
     start = period_idx
     while start > 0 and not text[start - 1].isspace():
         start -= 1
-    word = text[start:period_idx + 1]
-    return word.lower() in abbrev
+    return text[start:period_idx + 1].lower() in ABBREVIATIONS
 
 
 def _trim(text: str, start: int, end: int) -> tuple[int, int]:
@@ -199,34 +184,51 @@ def _trim(text: str, start: int, end: int) -> tuple[int, int]:
     return start, end
 
 
-def tokenize(sentence_text: str) -> list[Token]:
-    """Whitespace-split, then peel leading/trailing punctuation and split
-    possessive "'s".  Hyphenated words and dotted abbreviations stay whole.
+def tokenize(text: str, pos: int = 0, endpos: int | None = None,
+             ) -> tuple[list[str], list[int], list[int]]:
+    """Tokenise ``text[pos:endpos]``: split at whitespace, then peel leading
+    and trailing punctuation and split a possessive "'s".  Hyphenated words
+    and dotted abbreviations stay whole.
 
-    Offsets are relative to ``sentence_text``.
+    Returns the token words and their start and end offsets into ``text``.
     """
-    tokens: list[Token] = []
-    for m in re.finditer(r"\S+", sentence_text):
-        start, end = m.start(), m.end()
-        while end - start > 1 and sentence_text[start] in _PUNCT:
-            tokens.append(Token(sentence_text[start], start, start + 1))
+    words: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    for m in _WORD_RE.finditer(text, pos, len(text) if endpos is None else endpos):
+        start, end = m.span()
+        word = text[start:end]
+        if word[0] not in _PUNCT and word[-1] not in _PUNCT \
+                and word[-2:] not in _POSSESSIVE:
+            # the common case: the whole word is one token
+            words.append(word)
+            starts.append(start)
+            ends.append(end)
+            continue
+        while end - start > 1 and text[start] in _PUNCT:
+            words.append(text[start])
+            starts.append(start)
+            ends.append(start + 1)
             start += 1
-        trailing: list[Token] = []
-        while end - start > 1 and sentence_text[end - 1] in _PUNCT:
+        trailing = end
+        while end - start > 1 and text[end - 1] in _PUNCT:
             # keep a final period that closes an internal-dot abbreviation
-            if (sentence_text[end - 1] == "."
-                    and "." in sentence_text[start:end - 1]):
+            if text[end - 1] == "." and "." in text[start:end - 1]:
                 break
-            trailing.append(Token(sentence_text[end - 1], end - 1, end))
             end -= 1
-        core = sentence_text[start:end]
-        if len(core) > 2 and core[-2:].lower() == "'s":
-            tokens.append(Token(core[:-2], start, end - 2))
-            tokens.append(Token(core[-2:], end - 2, end))
-        elif core:
-            tokens.append(Token(core, start, end))
-        tokens.extend(reversed(trailing))
-    return tokens
+        if end - start > 2 and text[end - 2:end] in _POSSESSIVE:
+            words += (text[start:end - 2], text[end - 2:end])
+            starts += (start, end - 2)
+            ends += (end - 2, end)
+        else:
+            words.append(text[start:end])
+            starts.append(start)
+            ends.append(end)
+        for i in range(end, trailing):
+            words.append(text[i])
+            starts.append(i)
+            ends.append(i + 1)
+    return words, starts, ends
 
 
 def make_document(doc_id: str, genre: str, text: str) -> Document:
@@ -236,34 +238,26 @@ def make_document(doc_id: str, genre: str, text: str) -> Document:
     if not doc_id:
         raise ValueError("document id must be nonempty")
 
-    if genre == "forum":
+    forum = genre == "forum"
+    if forum:
         clean, char_map, warnings = strip_quote_spans(text)
         for w in warnings:
             log.warning("%s: %s", doc_id, w)
     else:
-        clean, char_map = text, list(range(len(text)))
+        clean = text
 
     sentences = []
     for span_start, span_end in split_sentences(clean, genre):
-        toks = []
-        for t in tokenize(clean[span_start:span_end]):
-            cs = span_start + t.char_start
-            ce = span_start + t.char_end
-            text_out = normalize_case(t.text) if genre == "forum" else t.text
-            raw_start = char_map[cs] if char_map else 0
-            raw_end = (char_map[ce - 1] + 1) if char_map else 0
-            toks.append(Token(text_out, raw_start, raw_end))
-        if toks:
-            sentences.append(Sentence(len(sentences), tuple(toks)))
+        # a trimmed span starts with a word, so it has a token
+        words, starts, ends = tokenize(clean, span_start, span_end)
+        if forum:
+            words = [normalize_case(w) for w in words]
+            starts = [char_map[s] for s in starts]
+            ends = [char_map[e - 1] + 1 for e in ends]
+        lower = [l if l != w else w for w, l in zip(words, map(str.lower, words))]
+        sentences.append(Sentence(len(sentences), tuple(words), tuple(lower),
+                                  tuple(starts), tuple(ends)))
     return Document(doc_id, genre, text, tuple(sentences))
-
-
-def preprocess_genre(doc: Document) -> Document:
-    """Re-run genre preprocessing.  News documents come back byte-identical;
-    the operation is idempotent for forum documents."""
-    if doc.genre == "news":
-        return doc
-    return make_document(doc.id, doc.genre, doc.raw_text)
 
 
 def ingest_documents(path: str | Path) -> DocumentStore:

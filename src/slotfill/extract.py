@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,14 +146,14 @@ class Gazetteers:
                         line = line.strip()
                         if not line or line.startswith("#"):
                             continue
-                        toks = tuple(t.text.lower() for t in tokenize(line))
+                        toks = tuple(w.lower() for w in tokenize(line)[0])
                         if toks:
                             items.add(toks)
             entries[ne_type] = items
         return cls(entries)
 
 
-def _date_span_length(texts_lower: list[str], i: int) -> int:
+def _date_span_length(texts_lower: tuple[str, ...], i: int) -> int:
     """Longest date expression starting at token i (0 when none)."""
     n = len(texts_lower)
     tok = texts_lower[i]
@@ -181,8 +182,8 @@ def _date_span_length(texts_lower: list[str], i: int) -> int:
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
     """Tag NE spans: gazetteer longest matches plus DATE/NUMBER/URL regexes;
     overlapping spans resolved longest-first, ties leftmost."""
-    texts = sentence.texts()
-    lower = [t.lower() for t in texts]
+    texts = sentence.texts
+    lower = sentence.lower
     n = len(texts)
     spans: list[NESpan] = []
 
@@ -190,7 +191,7 @@ def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
         max_len = gazetteers.max_len.get(ne_type, 0)
         for i in range(n):
             for width in range(min(max_len, n - i), 0, -1):
-                if tuple(lower[i:i + width]) in items:
+                if lower[i:i + width] in items:
                     spans.append(NESpan(sentence.index, i, i + width, ne_type,
                                         " ".join(texts[i:i + width])))
                     break  # longest match at this start position
@@ -240,9 +241,9 @@ class Candidate:
         return tuple(self.filler.surface.split(" "))
 
 
-def split_contexts(tokens: list[str], entity_span: tuple[int, int],
+def split_contexts(tokens: Sequence[str], entity_span: tuple[int, int],
                    filler_span: tuple[int, int],
-                   ) -> tuple[list[str], list[str], list[str], bool]:
+                   ) -> tuple[Sequence[str], Sequence[str], Sequence[str], bool]:
     """Partition tokens into (left, middle, right) around the two spans plus
     the entity-first flag.  Overlapping spans are a caller bug."""
     es, ee = entity_span
@@ -266,7 +267,7 @@ def candidates_for_slot(doc: Document, sentence_index: int,
     pronoun that resolves to a proper name becomes a PER filler too.
     """
     sentence = doc.sentences[sentence_index]
-    texts = sentence.texts()
+    texts = sentence.texts
     required = slot_config.required_ne_type
     mentions_here = [m for m in entity_mentions if m.sentence_index == sentence_index]
     if not mentions_here:
@@ -288,9 +289,10 @@ def candidates_for_slot(doc: Document, sentence_index: int,
 
     if required == "PER" and chains:
         covered = {i for s in spans for i in range(s.token_start, s.token_end)}
-        for i, text in enumerate(texts):
-            if text.lower() not in PERSON_PRONOUNS or i in covered:
+        for i, word in enumerate(sentence.lower):
+            if word not in PERSON_PRONOUNS or i in covered:
                 continue
+            text = texts[i]
             resolved = expand_person_fillers(doc, chains, (sentence_index, i, i + 1),
                                              text, is_pronoun=True)
             if resolved is not None:

@@ -144,10 +144,15 @@ def bounded_levenshtein(a: str, b: str, k: int) -> int:
     return prev[lb] if prev[lb] <= k else over
 
 
-@functools.lru_cache(maxsize=256)
-def _max_accepted_dist(longer: int, max_norm_dist: float) -> int:
+@functools.lru_cache(maxsize=4096)
+def _max_accepted_dist(window_len: int, target_len: int,
+                       max_norm_dist: float) -> int:
     """The largest d in [0, longer] with ``d / longer <= max_norm_dist``,
-    or -1 if there is none."""
+    where ``longer`` is the longer of a window and a name of these lengths,
+    or -1 when there is none or the length difference alone is too large."""
+    longer = max(window_len, target_len)
+    if abs(window_len - target_len) / longer > max_norm_dist:
+        return -1
     k = min(longer, max(0, int(max_norm_dist * longer)))
     while k < longer and (k + 1) / longer <= max_norm_dist:
         k += 1
@@ -163,35 +168,38 @@ def find_name_mentions(doc: Document, names: list[str],
     name's token count; matching is case-insensitive."""
     from .corpus import tokenize  # tokenization of the names themselves
 
-    targets = []
+    # token count -> lowered name -> its length
+    targets: dict[int, dict[str, int]] = {}
     for name in names:
-        toks = [t.text for t in tokenize(name)]
+        toks = tokenize(name)[0]
         if toks:
-            targets.append((" ".join(toks).lower(), len(toks)))
+            target = " ".join(toks).lower()
+            targets.setdefault(len(toks), {})[target] = len(target)
 
     found: dict[tuple[int, int, int], Mention] = {}
     for sent in doc.sentences:
-        texts = sent.texts()
-        for target, width in targets:
-            for i in range(0, len(texts) - width + 1):
-                window = texts[i:i + width]
-                surface = " ".join(window)
-                lowered = surface.lower()
-                longer = max(len(lowered), len(target))
-                if longer == 0:
-                    continue
-                if abs(len(lowered) - len(target)) / longer > max_norm_dist:
-                    continue
-                k = _max_accepted_dist(longer, max_norm_dist)
-                dist = bounded_levenshtein(lowered, target, k)
-                if dist / longer > max_norm_dist:
-                    continue
-                kind = "exact" if dist == 0 else "fuzzy"
-                span = (sent.index, i, i + width)
-                prev = found.get(span)
-                if prev is None or _KIND_PRIORITY[kind] < _KIND_PRIORITY[prev.kind]:
-                    found[span] = Mention(doc.id, sent.index, i, i + width,
-                                          surface, kind)
+        lower = sent.lower
+        for width, names_of_width in targets.items():
+            # a lowered window equals its lowered joined surface
+            windows = lower if width == 1 else [
+                " ".join(lower[i:i + width])
+                for i in range(len(lower) - width + 1)]
+            for i, lowered in enumerate(windows):
+                for target, target_len in names_of_width.items():
+                    k = _max_accepted_dist(len(lowered), target_len, max_norm_dist)
+                    if k < 0:
+                        continue
+                    dist = bounded_levenshtein(lowered, target, k)
+                    if dist > k:
+                        continue
+                    kind = "exact" if dist == 0 else "fuzzy"
+                    span = (sent.index, i, i + width)
+                    prev = found.get(span)
+                    if prev is None \
+                            or _KIND_PRIORITY[kind] < _KIND_PRIORITY[prev.kind]:
+                        found[span] = Mention(
+                            doc.id, sent.index, i, i + width,
+                            " ".join(sent.texts[i:i + width]), kind)
     return sorted(found.values(), key=lambda m: m.span)
 
 
@@ -219,26 +227,26 @@ def attach_coref_mentions(doc: Document, chains: list[CorefChain],
             if cm.sentence_index >= len(doc.sentences):
                 continue
             sent = doc.sentences[cm.sentence_index]
-            if cm.token_end > len(sent.tokens):
+            if cm.token_end > len(sent.texts):
                 continue
-            surface = " ".join(sent.texts()[cm.token_start:cm.token_end])
+            surface = " ".join(sent.texts[cm.token_start:cm.token_end])
             added[span] = Mention(doc.id, cm.sentence_index, cm.token_start,
                                   cm.token_end, surface, "coref")
     return sorted(added.values(), key=lambda m: m.span)
 
 
-def _match_heuristic_pattern(texts: list[str]) -> tuple[int, int] | None:
+def _match_heuristic_pattern(lower: tuple[str, ...]) -> tuple[int, int] | None:
     """Match "the XX-year-old" / "the XX-based company" / "the XX-born" at the
-    start of a sentence; return the pattern span or None."""
-    if not texts or texts[0].lower() != "the":
+    start of a sentence's lowered words; return the pattern span or None."""
+    if not lower or lower[0] != "the":
         return None
-    limit = min(_HEURISTIC_MAX_RUN, len(texts) - 1)
+    limit = min(_HEURISTIC_MAX_RUN, len(lower) - 1)
     for j in range(1, limit + 1):
-        word = texts[j].lower()
+        word = lower[j]
         if word.endswith("-year-old") or word.endswith("-born"):
             return (0, j + 1)
-        if word.endswith("-based") and j + 1 < len(texts) \
-                and texts[j + 1].lower() == "company":
+        if word.endswith("-based") and j + 1 < len(lower) \
+                and lower[j + 1] == "company":
             return (0, j + 2)
     return None
 
@@ -261,8 +269,8 @@ def nominal_anaphora_heuristic(doc: Document, seed_mentions: list[Mention],
         nxt = t + 1
         if nxt >= len(doc.sentences):
             continue
-        texts = doc.sentences[nxt].texts()
-        span = _match_heuristic_pattern(texts)
+        texts = doc.sentences[nxt].texts
+        span = _match_heuristic_pattern(doc.sentences[nxt].lower)
         if span is None:
             continue
         start, end = span

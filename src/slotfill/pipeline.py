@@ -252,7 +252,7 @@ def _context_bag(doc, mentions) -> Counter:
     """Union of lowercased term bags of the sentences holding ``mentions``."""
     bag: Counter = Counter()
     for m in mentions:
-        bag.update(t.lower() for t in doc.sentences[m.sentence_index].texts())
+        bag.update(doc.sentences[m.sentence_index].lower)
     return bag
 
 
@@ -260,7 +260,7 @@ def _exact_name_mentions(seed: list, name: str) -> list:
     """The mentions of ``seed`` that a pass over ``name`` alone marks exact."""
     from .corpus import tokenize  # as find_name_mentions tokenises names
 
-    target = " ".join(t.text for t in tokenize(name)).lower()
+    target = " ".join(tokenize(name)[0]).lower()
     return [m for m in seed if m.kind == "exact" and m.surface.lower() == target]
 
 

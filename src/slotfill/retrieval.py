@@ -19,16 +19,12 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 MAX_DOCS_PER_ENTITY = 100
 
-_PUNCT = set(string.punctuation)
-
-
-def _is_punct_only(text: str) -> bool:
-    return all(c in _PUNCT for c in text)
+_PUNCT = string.punctuation
 
 
 def text_terms(text: str) -> list[str]:
     """Lowercased index terms of a piece of text (punctuation-only dropped)."""
-    return [t.text.lower() for t in tokenize(text) if not _is_punct_only(t.text)]
+    return [w.lower() for w in tokenize(text)[0] if w.strip(_PUNCT)]
 
 
 class InvertedIndex:
@@ -60,18 +56,16 @@ def build_index(store: DocumentStore) -> InvertedIndex:
     counts: dict[str, Counter] = {}
     for doc in store:
         c = Counter()
-        n_terms = 0
         for sent in doc.sentences:
-            for tok in sent.tokens:
-                if _is_punct_only(tok.text):
-                    continue
-                c[tok.text.lower()] += 1
-                n_terms += 1
+            c.update(sent.lower)
         counts[doc.id] = c
-        index.doc_lengths[doc.id] = n_terms
+        index.doc_lengths[doc.id] = c.total()
     for doc_id in sorted(counts):
         for term, tf in counts[doc_id].items():
             index.postings.setdefault(term, {})[doc_id] = tf
+    for term in [t for t in index.postings if not t.strip(_PUNCT)]:
+        for doc_id, tf in index.postings.pop(term).items():
+            index.doc_lengths[doc_id] -= tf
     if index.doc_lengths:
         index.avg_doc_length = (sum(index.doc_lengths.values())
                                 / len(index.doc_lengths))

@@ -120,11 +120,12 @@ def load_triggers(path: str | Path) -> dict[str, list]:
     return triggers
 
 
-def _surface_tokens(surface: str) -> list[str]:
-    return [t.text.lower() for t in tokenize(surface)]
+def _surface_tokens(surface: str) -> tuple[str, ...]:
+    return tuple(w.lower() for w in tokenize(surface)[0])
 
 
-def _find_token_seq(haystack: list[str], needle: list[str]) -> list[int]:
+def _find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...],
+                    ) -> list[int]:
     """Start positions of every (case-insensitive) occurrence."""
     if not needle or len(needle) > len(haystack):
         return []
@@ -141,8 +142,7 @@ def generate_positive_examples(store: DocumentStore, kb: list[RelationInstance],
     out: list[LabeledExample] = []
     for doc in store:
         for sent in doc.sentences:
-            lower = [t.lower() for t in sent.texts()]
-            texts = sent.texts()
+            lower = sent.lower
             for subj, obj in instances:
                 for s_start in _find_token_seq(lower, subj):
                     s_span = (s_start, s_start + len(subj))
@@ -151,14 +151,14 @@ def generate_positive_examples(store: DocumentStore, kb: list[RelationInstance],
                         if s_span[0] < o_span[1] and o_span[0] < s_span[1]:
                             continue
                         left, middle, right, entity_first = split_contexts(
-                            texts, s_span, o_span)
+                            sent.texts, s_span, o_span)
                         out.append(LabeledExample(
                             tuple(left), tuple(middle), tuple(right),
                             entity_first, 1, slot, origin="distant"))
     return out
 
 
-def _sentence_triggered(lower_tokens: list[str], example_like,
+def _sentence_triggered(lower_tokens: tuple[str, ...], example_like,
                         triggers: list) -> bool:
     for trigger in triggers:
         if isinstance(trigger, Pattern):
@@ -189,8 +189,6 @@ def generate_negative_examples(store: DocumentStore, kb: list[RelationInstance],
             fillers = [s for s in spans if s.ne_type == filler_type]
             if not subjects or not fillers:
                 continue
-            texts = sent.texts()
-            lower = [t.lower() for t in texts]
             for subj in subjects:
                 for obj in fillers:
                     if subj == obj:
@@ -202,12 +200,12 @@ def generate_negative_examples(store: DocumentStore, kb: list[RelationInstance],
                     if pair in known_pairs:
                         continue
                     left, middle, right, entity_first = split_contexts(
-                        texts, (subj.token_start, subj.token_end),
+                        sent.texts, (subj.token_start, subj.token_end),
                         (obj.token_start, obj.token_end))
                     example = LabeledExample(
                         tuple(left), tuple(middle), tuple(right),
                         entity_first, 0, slot, origin="distant")
-                    if _sentence_triggered(lower, example, slot_triggers):
+                    if _sentence_triggered(sent.lower, example, slot_triggers):
                         continue
                     out.append(example)
     return out

@@ -2,7 +2,7 @@
 
 import random
 
-from slotfill.corpus import make_document, tokenize
+from slotfill.corpus import make_document
 from slotfill.mentions import (
     MENTION_KINDS,
     ChainMention,
@@ -15,6 +15,7 @@ from slotfill.mentions import (
     nominal_anaphora_heuristic,
 )
 from slotfill.query import levenshtein
+from token_oracle import tokenize
 
 
 def doc_from(text: str, doc_id: str = "d1"):
@@ -105,7 +106,7 @@ def reference_name_mentions(doc, names, max_norm_dist=0.2):
             targets.append((" ".join(toks).lower(), len(toks)))
     found = {}
     for sent in doc.sentences:
-        texts = sent.texts()
+        texts = sent.texts
         for target, width in targets:
             for i in range(len(texts) - width + 1):
                 surface = " ".join(texts[i:i + width])
@@ -227,7 +228,7 @@ class TestAttachCoref:
             for m in new:
                 assert m.sentence_index < len(doc.sentences)
                 sent = doc.sentences[m.sentence_index]
-                assert 0 <= m.token_start < m.token_end <= len(sent.tokens)
+                assert 0 <= m.token_start < m.token_end <= len(sent.texts)
 
 
 class TestNominalHeuristic:

@@ -9,6 +9,7 @@ from slotfill.extract import split_contexts
 from slotfill.mentions import bounded_levenshtein
 from slotfill.postprocess import DATE_RE, normalize_date
 from slotfill.query import levenshtein
+from token_oracle import document_tokens
 
 words = st.text(alphabet="abcde", min_size=0, max_size=15)
 safe_text = st.text(
@@ -65,14 +66,15 @@ class TestQuoteStripping:
 class TestTokenizer:
     @given(safe_text)
     def test_offsets_match_slices(self, text):
-        for tok in tokenize(text):
-            assert text[tok.char_start:tok.char_end] == tok.text
+        for word, start, end in zip(*tokenize(text)):
+            assert text[start:end] == word
 
     @given(safe_text)
     def test_tokens_cover_non_whitespace(self, text):
         covered = set()
-        for tok in tokenize(text):
-            covered.update(range(tok.char_start, tok.char_end))
+        _, starts, ends = tokenize(text)
+        for start, end in zip(starts, ends):
+            covered.update(range(start, end))
         for i, ch in enumerate(text):
             if not ch.isspace():
                 assert i in covered
@@ -81,9 +83,50 @@ class TestTokenizer:
     def test_document_token_spans_nested(self, text):
         doc = make_document("d", "news", text)
         for sent in doc.sentences:
-            assert sent.tokens
-            for tok in sent.tokens:
-                assert 0 <= tok.char_start < tok.char_end <= len(text)
+            assert sent.texts
+            for start, end in zip(sent.starts, sent.ends):
+                assert 0 <= start < end <= len(text)
+
+
+# pieces that reach every branch of sentence splitting and tokenisation
+_PIECES = [" ", "  ", "\n", "\t", "Dr.", "dr.", "U.S.", "the U.S.",
+           "U.S.-based", "a.b.", "Obama's", "JONES'S", "'s", "s's", "...",
+           "?!", ".", ",", "!", "?", ")", '"', "(\"", "\u201d", "\u2019", "'",
+           "-", "word", "Word", "sErVice", "NASA", "\u0130", "\u0130stanbul",
+           "\u03a3", "\u0391\u03a3", "\u03a3\u0391\u03a3", "\u03c3\u03c2",
+           "\u00df", "STRA\u00dfE", "stra\u00dfe", "<quote>", "</quote>",
+           "<quote><quote>", "</quote></quote>"]
+documents = st.lists(
+    st.one_of(st.sampled_from(_PIECES),
+              st.text(alphabet="aZ\u0130\u03a3\u00df.'s!? \n<>/", max_size=6)),
+    max_size=40).map("".join)
+
+
+class TestColumnarSentences:
+    """``make_document``'s columns against one token record per word."""
+
+    @given(documents, st.sampled_from(["news", "forum"]))
+    @example("A <quote>b <quote>c</quote> d</quote> E's f.", "forum")
+    @example("x </quote> Y. <quote>z", "forum")
+    @example("Dr. \u0130SA went to the U.S. <quote>\u03a3A\u03a3 stra\u00dfe!",
+             "forum")
+    @example("\u0391\u03a3's \u0391\u03a3 (\u0391\u03a3) \u00df. ...?! Ok.", "news")
+    def test_columns_match_token_oracle(self, text, genre):
+        doc = make_document("d", genre, text)
+        oracle = document_tokens(genre, text)
+        assert [s.index for s in doc.sentences] == list(range(len(oracle)))
+        for sent, toks in zip(doc.sentences, oracle, strict=True):
+            assert sent.texts == tuple(t.text for t in toks)
+            assert sent.starts == tuple(t.char_start for t in toks)
+            assert sent.ends == tuple(t.char_end for t in toks)
+            for word, low in zip(sent.texts, sent.lower, strict=True):
+                assert low == word.lower()
+                assert (low is word) == (low == word)
+            n = len(sent.texts)
+            for i in range(n):
+                for j in range(i + 1, n + 1):
+                    assert " ".join(sent.lower[i:j]) \
+                        == " ".join(sent.texts[i:j]).lower()
 
 
 class TestSplitContexts:

@@ -6,6 +6,7 @@ reads zero without an error or the benchmark fails."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -44,6 +45,31 @@ def test_counted_names_exist():
     missing += [f"retrieval.{n}" for n in ("query_and", "query_or")
                 if not hasattr(retrieval, n)]
     assert not missing
+
+
+def test_read_arguments_match_signatures():
+    # a counter reads the wrapped call's arguments as _arg(args, kwargs, i,
+    # name): by position when passed positionally, else by keyword
+    reads: dict[str, list[tuple[int, str]]] = {}
+    for node in ast.walk(ast.parse((PERFBENCH / "layers.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = [
+                (call.args[2].value, call.args[3].value)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "_arg"]
+    layers = _layers()
+    checked, wrong = 0, []
+    for module, counters in ((pipeline, layers.PIPELINE_COUNTERS),
+                             (trainer, layers.TRAINER_COUNTERS)):
+        for name, counter in counters.items():
+            params = list(inspect.signature(getattr(module, name)).parameters)
+            for i, arg in reads[counter.__name__]:
+                checked += 1
+                if params[i:i + 1] != [arg]:
+                    wrong.append(f"{name} reads {arg!r} at {i}: {params}")
+    assert checked >= 7
+    assert not wrong
 
 
 def test_run_script_names_exist(monkeypatch):
