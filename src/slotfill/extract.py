@@ -2,8 +2,9 @@
 with entity mentions, impossible-filler filtering, and context splitting.
 
 Named-entity tagging is deliberately simple: longest-match gazetteer lookups
-per type plus regex taggers for dates, numbers and URLs, with overlaps
-resolved longest-first (ties leftmost).
+per type, from one table keyed by an entry's first token, plus regex taggers
+for dates, numbers and URLs, with overlaps resolved longest-first (ties
+leftmost).
 """
 
 from __future__ import annotations
@@ -122,12 +123,22 @@ def location_granularity(slot: str) -> str | None:
 
 
 class Gazetteers:
-    """Per-type longest-match gazetteers over lowercased token tuples."""
+    """Longest-match gazetteers over lowercased token tuples.  ``entries``
+    maps each NE type to its entries; ``by_first`` is the one lookup table
+    the tagger reads: an entry's first token maps to the types that have
+    entries starting with it, each with those entries, longest first."""
 
     def __init__(self, entries: dict[str, set[tuple[str, ...]]]):
         self.entries = entries
-        self.max_len = {t: max((len(e) for e in es), default=0)
-                        for t, es in entries.items()}
+        by_first: dict[str, dict[str, list[tuple[str, ...]]]] = {}
+        for ne_type, items in entries.items():
+            for entry in items:
+                by_first.setdefault(entry[0], {}).setdefault(
+                    ne_type, []).append(entry)
+        self.by_first = {
+            first: tuple((ne_type, tuple(sorted(es, key=lambda e: (-len(e), e))))
+                         for ne_type, es in types.items())
+            for first, types in by_first.items()}
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "Gazetteers":
@@ -181,30 +192,33 @@ def _date_span_length(texts_lower: tuple[str, ...], i: int) -> int:
 
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
     """Tag NE spans: gazetteer longest matches plus DATE/NUMBER/URL regexes;
-    overlapping spans resolved longest-first, ties leftmost."""
+    overlapping spans resolved longest-first, ties leftmost.  One pass over
+    the tokens looks up each lowered token in the gazetteers' first-token
+    table; the regexes run only on tokens that can start their match."""
     texts = sentence.texts
     lower = sentence.lower
-    n = len(texts)
+    index = sentence.index
+    by_first = gazetteers.by_first
     spans: list[NESpan] = []
-
-    for ne_type, items in gazetteers.entries.items():
-        max_len = gazetteers.max_len.get(ne_type, 0)
-        for i in range(n):
-            for width in range(min(max_len, n - i), 0, -1):
-                if lower[i:i + width] in items:
-                    spans.append(NESpan(sentence.index, i, i + width, ne_type,
-                                        " ".join(texts[i:i + width])))
-                    break  # longest match at this start position
-
-    for i in range(n):
-        width = _date_span_length(lower, i)
-        if width:
-            spans.append(NESpan(sentence.index, i, i + width, "DATE",
-                                " ".join(texts[i:i + width])))
-        if _NUMBER_RE.fullmatch(texts[i]):
-            spans.append(NESpan(sentence.index, i, i + 1, "NUMBER", texts[i]))
-        if _URL_RE.fullmatch(texts[i]):
-            spans.append(NESpan(sentence.index, i, i + 1, "URL", texts[i]))
+    for i, word in enumerate(lower):
+        for ne_type, entries in by_first.get(word, ()):
+            for entry in entries:
+                end = i + len(entry)
+                if lower[i:end] == entry:
+                    spans.append(NESpan(index, i, end, ne_type,
+                                        " ".join(texts[i:end])))
+                    break  # longest match of this type at this start
+        # every date starts with a month word or a digit
+        if word in _MONTH_WORDS or word[:1].isdigit():
+            width = _date_span_length(lower, i)
+            if width:
+                spans.append(NESpan(index, i, i + width, "DATE",
+                                    " ".join(texts[i:i + width])))
+        text = texts[i]
+        if text[:1].isdigit() and _NUMBER_RE.fullmatch(text):
+            spans.append(NESpan(index, i, i + 1, "NUMBER", text))
+        if text.startswith(("http", "www.")) and _URL_RE.fullmatch(text):
+            spans.append(NESpan(index, i, i + 1, "URL", text))
 
     spans.sort(key=lambda s: (-s.length, s.token_start, s.ne_type))
     chosen: list[NESpan] = []

@@ -144,52 +144,100 @@ def bounded_levenshtein(a: str, b: str, k: int) -> int:
     return prev[lb] if prev[lb] <= k else over
 
 
-@functools.lru_cache(maxsize=4096)
-def _max_accepted_dist(window_len: int, target_len: int,
-                       max_norm_dist: float) -> int:
-    """The largest d in [0, longer] with ``d / longer <= max_norm_dist``,
+def _max_accepted_dist(window_len: int, target_len: int) -> int:
+    """The largest d in [0, longer] with ``d / longer <= FUZZY_MAX_NORM_DIST``,
     where ``longer`` is the longer of a window and a name of these lengths,
     or -1 when there is none or the length difference alone is too large."""
     longer = max(window_len, target_len)
-    if abs(window_len - target_len) / longer > max_norm_dist:
+    if abs(window_len - target_len) / longer > FUZZY_MAX_NORM_DIST:
         return -1
-    k = min(longer, max(0, int(max_norm_dist * longer)))
-    while k < longer and (k + 1) / longer <= max_norm_dist:
+    k = min(longer, max(0, int(FUZZY_MAX_NORM_DIST * longer)))
+    while k < longer and (k + 1) / longer <= FUZZY_MAX_NORM_DIST:
         k += 1
-    while k >= 0 and k / longer > max_norm_dist:
+    while k >= 0 and k / longer > FUZZY_MAX_NORM_DIST:
         k -= 1
     return k
 
 
-def find_name_mentions(doc: Document, names: list[str],
-                       max_norm_dist: float = FUZZY_MAX_NORM_DIST) -> list[Mention]:
-    """Find token windows matching any name within a normalized edit distance
-    (distance / length of the longer string).  Window sizes follow each
-    name's token count; matching is case-insensitive."""
-    from .corpus import tokenize  # tokenization of the names themselves
+def split_pieces(target: str, parts: int) -> tuple[str, ...]:
+    """``target`` cut into ``parts`` disjoint contiguous pieces whose lengths
+    differ by at most one (empty pieces when it is shorter than ``parts``).
+    A string within edit distance ``parts - 1`` of ``target`` contains at
+    least one piece unchanged: each edit touches one piece (Wu & Manber
+    1992; Navarro 2001, section 7)."""
+    size, extra = divmod(len(target), parts)
+    pieces, pos = [], 0
+    for p in range(parts):
+        end = pos + size + (p < extra)
+        pieces.append(target[pos:end])
+        pos = end
+    return tuple(pieces)
 
-    # token count -> lowered name -> its length
-    targets: dict[int, dict[str, int]] = {}
+
+def lowered_name(name: str) -> str:
+    """A name as mention finding matches it: its tokens joined by single
+    spaces and lowercased ("" when it has no token)."""
+    from .corpus import tokenize
+    return " ".join(tokenize(name)[0]).lower()
+
+
+@dataclass(frozen=True)
+class _Target:
+    """One lowered name: its accepted distance per window length and its
+    exact pieces, one more than the largest of those distances."""
+    lowered: str
+    max_dist: dict[int, int]
+    pieces: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=4096)
+def _name_table(names: tuple[str, ...]) -> tuple[tuple[int, tuple[_Target, ...]], ...]:
+    """Per token width, the distinct lowered names of that width."""
+    by_width: dict[int, dict[str, _Target]] = {}
     for name in names:
-        toks = tokenize(name)[0]
-        if toks:
-            target = " ".join(toks).lower()
-            targets.setdefault(len(toks), {})[target] = len(target)
+        lowered = lowered_name(name)
+        if not lowered:
+            continue
+        n = len(lowered)
+        # a window twice as long as the name or longer differs by half of
+        # its length at least
+        max_dist = {w: k for w in range(1, 2 * n + 1)
+                    if (k := _max_accepted_dist(w, n)) >= 0}
+        # a token holds no whitespace
+        by_width.setdefault(lowered.count(" ") + 1, {})[lowered] = _Target(
+            lowered, max_dist, split_pieces(lowered, max(max_dist.values()) + 1))
+    return tuple((w, tuple(ts.values())) for w, ts in by_width.items())
 
+
+def find_name_mentions(doc: Document, names: list[str]) -> list[Mention]:
+    """Find token windows matching any name within a normalized edit distance
+    of FUZZY_MAX_NORM_DIST (distance / length of the longer string).  Window
+    sizes follow each name's token count; matching is case-insensitive.
+
+    A window is compared with the bounded edit distance only when one of
+    the name's exact pieces occurs in it, and a sentence's windows are not
+    built at all when no piece occurs in the whole sentence."""
     found: dict[tuple[int, int, int], Mention] = {}
+    table = _name_table(tuple(names))
     for sent in doc.sentences:
         lower = sent.lower
-        for width, names_of_width in targets.items():
+        joined = " ".join(lower)
+        for width, targets in table:
+            # every window is a substring of the joined sentence
+            live = [t for t in targets
+                    if any(p in joined for p in t.pieces)]
+            if not live:
+                continue
             # a lowered window equals its lowered joined surface
             windows = lower if width == 1 else [
                 " ".join(lower[i:i + width])
                 for i in range(len(lower) - width + 1)]
             for i, lowered in enumerate(windows):
-                for target, target_len in names_of_width.items():
-                    k = _max_accepted_dist(len(lowered), target_len, max_norm_dist)
-                    if k < 0:
+                for target in live:
+                    k = target.max_dist.get(len(lowered), -1)
+                    if k < 0 or not any(p in lowered for p in target.pieces):
                         continue
-                    dist = bounded_levenshtein(lowered, target, k)
+                    dist = bounded_levenshtein(lowered, target.lowered, k)
                     if dist > k:
                         continue
                     kind = "exact" if dist == 0 else "fuzzy"

@@ -5,7 +5,7 @@ from .embeddings import EmbeddingMatrix, ENTITY_MARK, FILLER_MARK, load_embeddin
 from .ensemble import rnn_ensemble_score
 from .persist import load_model, save_model
 from .rnn import RNNClassifier
-from .training import TrainConfig, TrainResult, evaluate_accuracy, gradient_check, train
+from .training import TrainConfig, TrainResult, evaluate_accuracy, train
 
 __all__ = [
     "CNNClassifier",
@@ -16,7 +16,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "evaluate_accuracy",
-    "gradient_check",
     "load_embedding_file",
     "load_model",
     "rnn_ensemble_score",

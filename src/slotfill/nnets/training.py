@@ -1,5 +1,4 @@
-"""Mini-batch SGD with backpropagation, gradient clipping and L2 decay,
-plus a central-finite-difference gradient checker."""
+"""Mini-batch SGD with backpropagation, gradient clipping and L2 decay."""
 
 from __future__ import annotations
 
@@ -7,8 +6,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .persist import model_from_header, model_header
 
 log = logging.getLogger(__name__)
 
@@ -101,40 +98,3 @@ def evaluate_accuracy(model, dataset: list[tuple[object, int]]) -> float:
     correct = sum(1 for ex, label in dataset
                   if (model.forward(ex) >= 0.5) == bool(label))
     return correct / len(dataset)
-
-
-def gradient_check(model, example, label: int = 1,
-                   epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences, over every parameter element (embeddings included).
-
-    The check runs in extended precision: the difference quotient of two
-    nearly equal float64 losses would otherwise drown near-zero gradients in
-    cancellation noise.  For the multi-task RNN, the hard argmax type choices
-    are frozen over the perturbations; a perturbation crossing a decision
-    boundary would measure the jump of the piecewise-constant path rather
-    than the gradient of the smooth piece the analytic backward computes.
-    """
-    work = model_from_header(model_header(model), {
-        k: v.astype(np.longdouble) for k, v in model.params().items()})
-    kwargs = {}
-    if getattr(work, "variant", "") == "multitask":
-        kwargs["frozen_choices"] = work._forward(example)["choices"]
-    _, analytic = work.loss_and_grads(example, label, **kwargs)
-    params = work.params()
-    max_err = 0.0
-    for name, arr in params.items():
-        flat = arr.ravel()
-        grad_flat = analytic[name].ravel()
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            loss_plus, _ = work.loss_and_grads(example, label, **kwargs)
-            flat[i] = original - epsilon
-            loss_minus, _ = work.loss_and_grads(example, label, **kwargs)
-            flat[i] = original
-            numeric = (loss_plus - loss_minus) / (2 * epsilon)
-            ga = grad_flat[i]
-            err = float(abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-8))
-            max_err = max(max_err, err)
-    return max_err

@@ -35,6 +35,7 @@ from .extract import (
 from .mentions import (
     attach_coref_mentions,
     find_name_mentions,
+    lowered_name,
     merge_mentions,
     nominal_anaphora_heuristic,
 )
@@ -173,9 +174,9 @@ def classifier_scores(models: ModelRegistry, canonical: str, view,
     return scores
 
 
-# entities the memo holds before both its dicts are cleared: an entity with
-# 100 retrieved documents holds about 24 KB of seed mentions and tagged
-# sentences, so the memo stays near 6 MB
+# entities the memo holds before all its dicts are cleared: an entity with
+# 100 retrieved documents holds about 27 KB of seed mentions, collected
+# mentions and tagged sentences, so the memo stays near 7 MB
 MEMO_ENTITIES = 256
 
 
@@ -184,8 +185,11 @@ class SystemState:
     """Resources shared by all queries of a run, read-only once the first
     query ran, plus the memo those queries fill: ``entities`` maps
     ``(entity_name, entity_type)`` to its retrieved documents paired with
-    their seed name mentions, and ``tags`` maps ``(doc_id, sentence_index)``
-    to the sentence's NE spans.  Both start empty and hold tuples."""
+    their seed name mentions, ``collected`` maps ``((entity_name,
+    entity_type), coref_enabled)`` to ``{doc_id: mentions}``, the mentions
+    extraction reads (the seed plus coref and nominal-heuristic ones), and
+    ``tags`` maps ``(doc_id, sentence_index)`` to the sentence's NE spans.
+    All start empty; the mentions and spans are tuples."""
     store: DocumentStore
     index: InvertedIndex
     slot_configs: dict
@@ -201,6 +205,7 @@ class SystemState:
     models: ModelRegistry = field(default_factory=ModelRegistry)
     entities: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
+    collected: dict = field(default_factory=dict)
 
 
 def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
@@ -258,29 +263,37 @@ def _context_bag(doc, mentions) -> Counter:
 
 def _exact_name_mentions(seed: list, name: str) -> list:
     """The mentions of ``seed`` that a pass over ``name`` alone marks exact."""
-    from .corpus import tokenize  # as find_name_mentions tokenises names
-
-    target = " ".join(tokenize(name)[0]).lower()
+    target = lowered_name(name)
     return [m for m in seed if m.kind == "exact" and m.surface.lower() == target]
 
 
-def _collect_mentions(state: SystemState, doc, seed, cfg: RunConfig):
+def _collect_mentions(state: SystemState, entity: tuple, doc, seed,
+                      cfg: RunConfig) -> tuple:
     """The seed name mentions, plus coref chains and the nominal heuristic
-    when coreference is enabled."""
-    if not cfg.coref_enabled:
-        return seed
-    chains = state.coref.get(doc.id, [])
-    merged = merge_mentions(seed, attach_coref_mentions(doc, chains, seed))
-    if not merged:
-        return merged
-    blocked: dict[int, set[int]] = {}
-    for t in {m.sentence_index + 1 for m in merged}:
-        if t < len(doc.sentences):
-            spans = _tagged(state, doc, t)
-            blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
-                          for i in range(s.token_start, s.token_end)}
-    heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
-    return merge_mentions(merged, heuristic)
+    when coreference is enabled, memoised per entity, document and
+    ``cfg.coref_enabled``; the seed tuple itself when nothing is added."""
+    memo = state.collected.setdefault((entity, cfg.coref_enabled), {})
+    collected = memo.get(doc.id)
+    if collected is not None:
+        return collected
+    collected = seed
+    if cfg.coref_enabled:
+        chains = state.coref.get(doc.id, [])
+        merged = merge_mentions(seed, attach_coref_mentions(doc, chains, seed))
+        if merged:
+            blocked: dict[int, set[int]] = {}
+            for t in {m.sentence_index + 1 for m in merged}:
+                if t < len(doc.sentences):
+                    spans = _tagged(state, doc, t)
+                    blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
+                                  for i in range(s.token_start, s.token_end)}
+            heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
+            merged = merge_mentions(merged, heuristic)
+        # merging keeps every seed span, so equal lengths mean no addition
+        if len(merged) > len(seed):
+            collected = tuple(merged)
+    memo[doc.id] = collected
+    return collected
 
 
 def _tagged(state: SystemState, doc, sentence_index: int) -> tuple:
@@ -301,6 +314,7 @@ def _seeded(state: SystemState, query: SlotQuery) -> tuple:
         if len(state.entities) >= MEMO_ENTITIES:
             state.entities.clear()
             state.tags.clear()
+            state.collected.clear()
         raw_aliases = state.alias_table.get(query.entity_name, [])
         aliases = clean_aliases(query.entity_name, raw_aliases,
                                 query.entity_type, state.nicknames)
@@ -357,7 +371,8 @@ def extract_candidates(state: SystemState, query: SlotQuery,
                        cfg: RunConfig) -> list:
     """The pre-classification pipeline stages: alias expansion, retrieval
     and the seed mention pass (memoised per entity on ``state``), the
-    optional entity-linking gate, coreference, and extraction."""
+    optional entity-linking gate, coreference (memoised per entity and
+    document), and extraction."""
     slot_cfg = state.slot_configs.get(query.slot)
     if slot_cfg is None:
         raise ValueError(f"unknown slot {query.slot!r}")
@@ -376,9 +391,10 @@ def extract_candidates(state: SystemState, query: SlotQuery,
                                                  target, state.kb,
                                                  query.entity_name)]
 
+    entity = (query.entity_name, query.entity_type)
     candidates = []
     for doc, seed in seeded:
-        mentions = _collect_mentions(state, doc, seed, cfg)
+        mentions = _collect_mentions(state, entity, doc, seed, cfg)
         if not mentions:
             continue
         chains = state.coref.get(doc.id, []) if cfg.coref_enabled else []
@@ -475,13 +491,6 @@ def score_output(answers: list[Answer], gold: list[tuple[str, int, str, str]],
     f1_frac = (2 * precision * recall / (precision + recall)
                if precision + recall else 0.0)
     return precision, recall, f1_frac, EvalCounts(tp, fp, fn)
-
-
-def f1(p: float, r: float) -> float:
-    """Harmonic mean of precision/recall percentages, 2 decimals."""
-    if p + r == 0:
-        return 0.0
-    return round(2 * p * r / (p + r), 2)
 
 
 # ---------------------------------------------------------------------------

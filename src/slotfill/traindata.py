@@ -90,16 +90,6 @@ def load_examples(path: str | Path) -> list[LabeledExample]:
     return out
 
 
-def save_examples(examples: list[LabeledExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({
-                "left": list(ex.left), "middle": list(ex.middle),
-                "right": list(ex.right), "entity_first": ex.entity_first,
-                "label": ex.label, "slot": ex.slot, "origin": ex.origin,
-            }) + "\n")
-
-
 def load_triggers(path: str | Path) -> dict[str, list]:
     """TSV ``slot<TAB>trigger``; a trigger is a word or a full template."""
     triggers: dict[str, list] = {}

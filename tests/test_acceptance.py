@@ -17,12 +17,10 @@ from slotfill.nnets import (
     RNNClassifier,
     TrainConfig,
     evaluate_accuracy,
-    gradient_check,
     train,
 )
 from slotfill.pipeline import (
     configure_run,
-    f1,
     load_gold,
     load_queries,
     run_queries,
@@ -33,13 +31,15 @@ from slotfill.query import levenshtein
 from slotfill.resources import default_slot_configs
 from slotfill.retrieval import build_index, query_and, query_or, retrieve_for_entity, text_terms
 from slotfill.corpus import DocumentStore, make_document
-from slotfill.synthetic import (
+from slotfill.traindata import SelectionConfig, select_training_data
+
+from helpers import (
+    f1,
+    gradient_check,
     make_noisy_selection_data,
     make_separable_dataset,
     purity,
 )
-from slotfill.traindata import SelectionConfig, select_training_data
-
 from test_pipeline import COREF_ABLATION_RESULTS, RUN_RESULTS
 from test_postprocess import DATE_ORACLE
 

@@ -169,6 +169,65 @@ class TestFindNameMentionsOracle:
                    for m in find_name_mentions(doc, names)]
             assert got == reference_name_mentions(doc, names)
 
+    def test_edits_spread_over_pieces_of_several_widths(self):
+        # names of 1, 2 and 3 tokens; each near-miss puts one edit in every
+        # piece but one of a k + 1 split, or in every piece of a k split,
+        # for the k of the name's own length and the largest k of any
+        # accepted window length (reached by k insertions)
+        rng = random.Random(11)
+        fuzzy = 0
+        for trial in range(60):
+            names = []
+            for width, lo, hi in ((1, 8, 14), (2, 10, 20), (3, 14, 24)):
+                length = rng.randint(lo, hi) - (width - 1)
+                cuts = sorted(rng.sample(range(2, length - 1), width - 1))
+                letters = "".join(rng.choices("abcdefghij", k=length))
+                names.append(" ".join(
+                    letters[a:b].title()
+                    for a, b in zip([0] + cuts, cuts + [length])))
+            words = []
+            for _ in range(16):
+                name = rng.choice(names)
+                n = len(name)
+                window = rng.choice([n, n + n // 4])
+                k = window // 5
+                parts = rng.choice([k, k + 1])
+                near = spread_near_miss(
+                    rng, name, window - n, rng.choice([k, min(k + 1, parts)]),
+                    parts, at_boundary=rng.random() < 0.5)
+                words += [near, rng.choice(["met", "the", "said", "."])]
+            doc = doc_from(" ".join(words), doc_id=f"w{trial}")
+            got = [(m.doc_id, m.sentence_index, m.token_start, m.token_end,
+                    m.surface, m.kind)
+                   for m in find_name_mentions(doc, names)]
+            assert got == reference_name_mentions(doc, names)
+            fuzzy += sum(m[-1] == "fuzzy" for m in got)
+        assert fuzzy > 300
+
+
+def spread_near_miss(rng: random.Random, name: str, insertions: int,
+                     edits: int, parts: int, at_boundary: bool) -> str:
+    """``name`` after ``edits`` letter edits, the first ``insertions`` of
+    them insertions and the rest substitutions, one in each of ``edits`` of
+    the ``parts`` near-equal pieces the name is cut into: at a piece's
+    first or last character when ``at_boundary``, else in its middle."""
+    n = len(name)
+    bounds = [n * j // parts for j in range(parts + 1)]
+    chars = list(name)
+    # right to left, so an edit moves no piece still to be edited
+    pieces = sorted(rng.sample(range(parts), edits), reverse=True)
+    for e, piece in enumerate(pieces):
+        lo, hi = bounds[piece], bounds[piece + 1]
+        if e < insertions:
+            pos = rng.choice([lo, hi]) if at_boundary else (lo + hi) // 2
+            chars.insert(pos, rng.choice("abcdefghij"))
+            continue
+        pos = rng.choice([lo, hi - 1]) if at_boundary else (lo + hi) // 2
+        if chars[pos] == " ":
+            pos = pos + 1 if pos == lo else pos - 1
+        chars[pos] = rng.choice([c for c in "abcdefghij" if c != chars[pos]])
+    return "".join(chars)
+
 
 def chain(doc_id, *mentions):
     return CorefChain(doc_id, "c1", [ChainMention(*m) for m in mentions])

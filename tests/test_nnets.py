@@ -11,7 +11,6 @@ from slotfill.nnets import (
     EmbeddingMatrix,
     RNNClassifier,
     TrainConfig,
-    gradient_check,
     load_embedding_file,
     load_model,
     rnn_ensemble_score,
@@ -19,6 +18,8 @@ from slotfill.nnets import (
     train,
 )
 from slotfill.nnets.rnn import encode_sequence
+
+from helpers import gradient_check
 
 
 @dataclass

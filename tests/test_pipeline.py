@@ -15,7 +15,6 @@ from slotfill.pipeline import (
     SystemState,
     classifier_scores,
     configure_run,
-    f1,
     load_gold,
     load_queries,
     load_system,
@@ -30,6 +29,8 @@ from slotfill.nnets.rnn import VARIANTS as RNN_VARIANTS
 from slotfill.query import SlotQuery
 from slotfill.retrieval import build_index
 from slotfill import resources
+
+from helpers import f1
 
 # reference (P, R, F1) operating points, per hop and overall, for the five
 # runs and for the coreference ablation; the scorer's harmonic mean must
@@ -489,6 +490,106 @@ class TestSharedMemo:
         assert len(state.entities) == 1
         [seeded] = state.entities.values()
         assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, _ in seeded}
+
+
+def _count_collecting(monkeypatch) -> Counter:
+    """Calls of the coref attachment and the nominal heuristic, counted
+    through wrappers of ``pipeline``'s names."""
+    from slotfill import pipeline
+
+    calls: Counter = Counter()
+    real_attach = pipeline.attach_coref_mentions
+    real_nominal = pipeline.nominal_anaphora_heuristic
+
+    def attach(*args, **kwargs):
+        calls["attach_coref_mentions"] += 1
+        return real_attach(*args, **kwargs)
+
+    def nominal(*args, **kwargs):
+        calls["nominal_anaphora_heuristic"] += 1
+        return real_nominal(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "attach_coref_mentions", attach)
+    monkeypatch.setattr(pipeline, "nominal_anaphora_heuristic", nominal)
+    return calls
+
+
+class TestCollectedMentionsMemo:
+    """The mentions extraction reads (seed, coref and nominal heuristic) are
+    collected once per entity, document and coref setting."""
+
+    def test_second_query_of_an_entity_collects_nothing(
+            self, load_fixture_system, queries, monkeypatch):
+        state = load_fixture_system()
+        calls = _count_collecting(monkeypatch)
+        cfg = configure_run(2)
+        by_entity: dict[tuple, list] = {}
+        for q in queries:
+            by_entity.setdefault((q.entity_name, q.entity_type), []).append(q)
+        repeated = [qs for qs in by_entity.values() if len(qs) > 1]
+        assert repeated
+        first_calls = Counter()
+        for first, *rest in repeated:
+            calls.clear()
+            run_query(state, first, cfg)
+            first_calls += calls
+            for q in rest:
+                calls.clear()
+                run_query(state, q, cfg)
+                assert calls == Counter(), q.id
+        assert first_calls["attach_coref_mentions"] \
+            and first_calls["nominal_anaphora_heuristic"]
+
+    def test_coref_on_and_off_keep_separate_entries(
+            self, load_fixture_system, queries, tmp_path):
+        asked = queries + [GPE_QUERY]
+        state = load_fixture_system()
+        for coref in (True, False, True):
+            cfg = configure_run(2, coref_enabled=coref)
+            write_answers(run_queries(state, asked, cfg),
+                          tmp_path / "shared.tsv")
+            write_answers(run_queries(load_fixture_system(), asked, cfg),
+                          tmp_path / "fresh.tsv")
+            assert (tmp_path / "shared.tsv").read_bytes() == \
+                (tmp_path / "fresh.tsv").read_bytes()
+        seeds = {(entity, doc.id): seed
+                 for entity, seeded in state.entities.items()
+                 for doc, seed in seeded}
+        on, off = {}, {}
+        for (entity, coref), docs in state.collected.items():
+            for doc_id, mentions in docs.items():
+                (on if coref else off)[entity, doc_id] = mentions
+        assert on.keys() == off.keys() == seeds.keys()
+        for key, seed in seeds.items():
+            # nothing added: the seed tuple itself is stored
+            assert off[key] is seed
+            assert on[key] is seed or len(on[key]) > len(seed)
+            assert type(on[key]) is tuple
+        assert any(on[key] is not seed for key, seed in seeds.items())
+
+    @pytest.mark.parametrize("run_id", [2, 4])
+    def test_cap_clears_collected_mentions(
+            self, load_fixture_system, queries, run_id, monkeypatch, tmp_path):
+        from slotfill import pipeline
+
+        cfg = configure_run(run_id)
+        asked = queries + [GPE_QUERY]
+        calls = _count_collecting(monkeypatch)
+        write_answers(run_queries(load_fixture_system(), asked, cfg),
+                      tmp_path / "uncapped.tsv")
+        uncapped = Counter(calls)
+        calls.clear()
+        monkeypatch.setattr(pipeline, "MEMO_ENTITIES", 1)
+        state = load_fixture_system()
+        write_answers(run_queries(state, asked, cfg), tmp_path / "capped.tsv")
+        assert (tmp_path / "capped.tsv").read_bytes() == \
+            (tmp_path / "uncapped.tsv").read_bytes()
+        [entity] = state.entities
+        assert state.collected
+        assert {key for key, _ in state.collected} == {entity}
+        # an entity asked again after another one is collected again
+        assert calls["attach_coref_mentions"] \
+            > uncapped["attach_coref_mentions"]
 
 
 class TestLoadQueries:

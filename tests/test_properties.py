@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from slotfill.classify import combine_scores
 from slotfill.corpus import make_document, strip_quote_spans, tokenize
-from slotfill.extract import split_contexts
-from slotfill.mentions import bounded_levenshtein
+from slotfill.extract import Gazetteers, split_contexts, tag_entities
+from slotfill.mentions import bounded_levenshtein, split_pieces
 from slotfill.postprocess import DATE_RE, normalize_date
 from slotfill.query import levenshtein
+from slotfill.resources import default_gazetteers
+from tag_oracle import tag_entities as oracle_tag_entities
 from token_oracle import document_tokens
 
 words = st.text(alphabet="abcde", min_size=0, max_size=15)
@@ -46,6 +48,94 @@ class TestBoundedLevenshtein:
         d = levenshtein(a, b)
         for k in range(max(len(a), len(b)) + 3):
             assert bounded_levenshtein(a, b, k) == (d if d <= k else k + 1)
+
+
+edit_alphabet = "abé中 "
+
+
+@st.composite
+def edited(draw, max_edits=4):
+    """A string and a copy of it after up to ``max_edits`` random edits."""
+    b = draw(st.text(alphabet=edit_alphabet, max_size=14))
+    a = list(b)
+    for _ in range(draw(st.integers(0, max_edits))):
+        op = draw(st.sampled_from("sid"))
+        pos = draw(st.integers(0, len(a)))
+        char = draw(st.sampled_from(edit_alphabet))
+        if op == "i":
+            a.insert(pos, char)
+        elif pos < len(a):
+            if op == "s":
+                a[pos] = char
+            else:
+                del a[pos]
+    return "".join(a), b
+
+
+class TestExactPieces:
+    """The partition filter of mention finding: within edit distance k of
+    ``b``, a string holds one of the k + 1 pieces of ``b`` unchanged."""
+
+    @given(st.one_of(edited(), st.tuples(st.text(alphabet=edit_alphabet,
+                                                 max_size=12),
+                                         st.text(alphabet=edit_alphabet,
+                                                 max_size=12))))
+    @example(("", ""))
+    @example(("", "ab"))
+    @example(("abc", "abc"))
+    @example(("x", "abc"))            # k >= len(b): some piece is empty
+    @example(("ab中", "a中"))
+    @example(("naïve café", "naive cafe"))
+    @example(("ab aab", "aab ab"))
+    def test_some_piece_survives_every_accepted_k(self, pair):
+        a, b = pair
+        d = levenshtein(a, b)
+        for k in range(d, max(len(a), len(b)) + 3):
+            pieces = split_pieces(b, k + 1)
+            assert len(pieces) == k + 1
+            assert "".join(pieces) == b
+            assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
+            assert any(p in a for p in pieces), (a, b, k, pieces)
+
+
+# gazetteers whose entries share first tokens within and across types, and
+# whose entries overlap across types
+OVERLAP_GAZETTEERS = Gazetteers({
+    "GPE": {("new", "york"), ("georgia",), ("new", "york", "city"),
+            ("paris",)},
+    "ORG": {("new", "york", "times"), ("paris", "group"), ("acme",),
+            ("acme", "corp", "holdings")},
+    "PER": {("georgia",), ("paris", "hilton"), ("john", "smith")},
+    "TITLE": {("new",), ("york", "times"), ("chef",)},
+    "CHARGE": set(),
+})
+_ENTRY_WORDS = sorted({" ".join(e[:n]) for g in (OVERLAP_GAZETTEERS,
+                                                  default_gazetteers())
+                       for es in g.entries.values() for e in es
+                       for n in range(1, len(e) + 1)})
+_TAG_PIECES = _ENTRY_WORDS + [
+    "New York", "GEORGIA", "Paris Hilton Group", "March 4 , 1988",
+    "4 March 1988", "march 1999", "Sept 12 2001", "2001-02-03", "3/4/2001",
+    "1999", "0999", "12", "3.5", "1,000", "1,00", "٣", "²", "http://x.org",
+    "https://a.b/c", "www.example.com", "HTTP://X.ORG", "www", "the", "in",
+    "said", ",", "Acme Corp",
+]
+tag_sentences = st.lists(st.sampled_from(_TAG_PIECES), max_size=14).map(
+    " ".join)
+
+
+class TestOneTableTagger:
+    """``tag_entities``'s one pass against the per-type oracle."""
+
+    @given(tag_sentences)
+    @example("New York Times said New York City in Georgia")
+    @example("Paris Hilton Group met acme corp holdings on March 4 , 1988")
+    @example("see www.example.com or http://x.org for 1,000 and 3.5 in 1999")
+    def test_spans_match_per_type_oracle(self, text):
+        for gazetteers in (OVERLAP_GAZETTEERS, default_gazetteers()):
+            for sent in make_document("d", "news", text).sentences:
+                assert tag_entities(sent, gazetteers) \
+                    == oracle_tag_entities(sent, gazetteers)
 
 
 class TestQuoteStripping:

@@ -4,7 +4,6 @@ import pytest
 
 from slotfill.corpus import DocumentStore, make_document
 from slotfill.resources import default_gazetteers, default_slot_configs
-from slotfill.synthetic import make_noisy_selection_data, purity
 from slotfill.traindata import (
     LabeledExample,
     RelationInstance,
@@ -14,11 +13,12 @@ from slotfill.traindata import (
     load_examples,
     load_kb_instances,
     load_triggers,
-    save_examples,
     select_training_data,
     tune_interpolation_weights,
     tune_thresholds,
 )
+
+from helpers import make_noisy_selection_data, purity, save_examples
 
 
 @pytest.fixture(scope="module")
