@@ -9,6 +9,7 @@ the candidate's argument spans.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -133,6 +134,9 @@ def match_patterns(example, patterns: list[Pattern],
     return 0.0
 
 
+# a run hashes about a thousand distinct feature names; the bound keeps a
+# long-lived process from growing without limit
+@functools.lru_cache(maxsize=1 << 16)
 def _hash_feature(name: str, bits: int) -> int:
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % (1 << bits)

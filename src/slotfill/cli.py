@@ -94,15 +94,24 @@ def _cmd_tune(args) -> int:
         print("no dev examples", file=sys.stderr)
         return 1
 
-    scored_rows = []
-    for ex in dev:
+    # the examples of one canonical slot are scored in one batch
+    rows: dict[str, list[int]] = {}
+    scores: list[dict[str, float]] = []
+    views = []
+    for i, ex in enumerate(dev):
         canonical, swapped = canonicalize_slot(ex.slot, slot_configs)
-        scores = {"pattern": match_patterns(ex, patterns.get(canonical, []),
-                                            swapped=swapped)}
-        scores.update(classifier_scores(registry, canonical,
-                                        classifier_view(ex, swapped),
-                                        registry.kinds_for(canonical)))
-        scored_rows.append((ex.slot, scores, ex.label))
+        rows.setdefault(canonical, []).append(i)
+        scores.append({"pattern": match_patterns(
+            ex, patterns.get(canonical, []), swapped=swapped)})
+        views.append(classifier_view(ex, swapped))
+    for canonical, idx in rows.items():
+        by_kind = classifier_scores(registry, canonical,
+                                    [views[i] for i in idx],
+                                    registry.kinds_for(canonical))
+        for kind, values in by_kind.items():
+            for i, value in zip(idx, values):
+                scores[i][kind] = value
+    scored_rows = [(ex.slot, s, ex.label) for ex, s in zip(dev, scores)]
 
     weights = tune_interpolation_weights([(s, y) for _, s, y in scored_rows])
     by_slot: dict[str, list[tuple[float, int]]] = {}
@@ -136,8 +145,8 @@ def _cmd_run(args) -> int:
     try:
         answers = run_queries(state, queries, cfg)
     except ModelMissingError as exc:
-        # raised at the first candidate that needs the model, so queries
-        # whose slots yield no candidate run without one
+        # raised by the first query with candidates to score by that model,
+        # so queries whose slots yield no candidate run without one
         print(f"error: --models {args.models or '(not given)'}: {exc}",
               file=sys.stderr)
         return 1

@@ -17,9 +17,10 @@ WIDTH = 3
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis: of a vector, or of each row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class CNNClassifier:
@@ -58,40 +59,77 @@ class CNNClassifier:
     # weight matrices subject to L2 decay (biases and embeddings excluded)
     L2_PARAMS = ("conv_w", "hidden_w", "out_w")
 
-    def _segment_forward(self, tokens) -> dict:
-        d = self.emb.dim
+    def _block_forward(self, examples) -> dict:
+        """The forward pass over every segment of every example at once.
+
+        The left, middle and right segments of the examples lie one after
+        another in one token block, each zero-padded to ``width`` rows when
+        shorter, so every segment has at least one window.  One gather of
+        the window index matrix feeds one conv matmul; ``seg_windows[s]``
+        is the first window row of segment ``s``, where its max-pooling
+        starts.  Rows of ``feat``, ``hvec`` and ``probs`` are examples."""
         w = self.width
-        dtype = self.emb.vectors.dtype
-        ids = self.emb.indices(tokens)
-        x = self.emb.vectors[ids] if ids else np.zeros((0, d), dtype=dtype)
-        if x.shape[0] < w:
-            x = np.vstack([x, np.zeros((w - x.shape[0], d), dtype=dtype)])
-        positions = x.shape[0] - w + 1
-        windows = np.stack([x[p:p + w].ravel() for p in range(positions)])
-        pre = windows @ self._params["conv_w"].T + self._params["conv_b"]
-        z = np.tanh(pre)
-        pooled = z.max(axis=0)
-        argmax = z.argmax(axis=0)
-        return {"ids": ids, "windows": windows, "z": z,
-                "pooled": pooled, "argmax": argmax}
+        d = self.emb.dim
+        vectors = self.emb.vectors
+        ids: list[int] = []         # token ids; pad rows hold 0
+        pads: list[int] = []        # token rows that are padding
+        seg_tokens: list[int] = []  # first token row of each segment
+        seg_windows: list[int] = []
+        starts: list[int] = []      # first token row of each window
+        flags: list[float] = []
+        for ex in examples:
+            flags.append(1.0 if ex.entity_first else 0.0)
+            for tokens in (ex.left, ex.middle, ex.right):
+                row = len(ids)
+                seg_tokens.append(row)
+                seg_windows.append(len(starts))
+                ids.extend(self.emb.indices(tokens))
+                short = row + w - len(ids)
+                if short > 0:
+                    pads.extend(range(len(ids), len(ids) + short))
+                    ids.extend([0] * short)
+                starts.extend(range(row, len(ids) - w + 1))
+        x = vectors[ids]
+        x[pads] = 0.0
+        window_rows = np.array(starts)[:, None] + np.arange(w)
+        windows = x[window_rows].reshape(len(starts), w * d)
+        z = np.tanh(windows @ self._params["conv_w"].T + self._params["conv_b"])
+        pooled = np.maximum.reduceat(z, seg_windows, axis=0)
+        feat = np.concatenate(
+            [pooled.reshape(len(flags), 3 * self.filters),
+             np.array(flags, dtype=vectors.dtype)[:, None]], axis=1)
+        hvec = np.tanh(feat @ self._params["hidden_w"] + self._params["hidden_b"])
+        probs = softmax(hvec @ self._params["out_w"] + self._params["out_b"])
+        return {"ids": ids, "seg_tokens": seg_tokens, "seg_windows": seg_windows,
+                "windows": windows, "z": z, "pooled": pooled, "feat": feat,
+                "hvec": hvec, "probs": probs}
 
     def _forward(self, example) -> dict:
-        segs = [self._segment_forward(example.left),
-                self._segment_forward(example.middle),
-                self._segment_forward(example.right)]
-        flag = 1.0 if example.entity_first else 0.0
-        feat = np.concatenate(
-            [s["pooled"] for s in segs]
-            + [np.array([flag], dtype=self.emb.vectors.dtype)])
-        hpre = feat @ self._params["hidden_w"] + self._params["hidden_b"]
-        hvec = np.tanh(hpre)
-        logits = hvec @ self._params["out_w"] + self._params["out_b"]
-        probs = softmax(logits)
-        return {"segs": segs, "feat": feat, "hvec": hvec, "probs": probs}
+        """``_block_forward`` of one example, with views into its arrays
+        per segment: the segment's own token ids (no pad rows), windows,
+        activations, pooled vector and the window each filter pooled."""
+        block = self._block_forward([example])
+        bounds = block["seg_windows"] + [len(block["windows"])]
+        segs = []
+        for k, tokens in enumerate((example.left, example.middle,
+                                    example.right)):
+            row = block["seg_tokens"][k]
+            lo, hi = bounds[k], bounds[k + 1]
+            z = block["z"][lo:hi]
+            segs.append({"ids": block["ids"][row:row + len(tokens)],
+                         "windows": block["windows"][lo:hi], "z": z,
+                         "pooled": block["pooled"][k],
+                         "argmax": z.argmax(axis=0)})
+        return {"segs": segs, "feat": block["feat"][0],
+                "hvec": block["hvec"][0], "probs": block["probs"][0]}
 
     def forward(self, example) -> float:
         """Positive-class probability for a candidate-shaped example."""
-        return float(self._forward(example)["probs"][1])
+        return self.forward_batch([example])[0]
+
+    def forward_batch(self, examples) -> list[float]:
+        """``forward`` of each of ``examples``, from one pass over them."""
+        return self._block_forward(examples)["probs"][:, 1].tolist()
 
     def loss_and_grads(self, example, label: int):
         cache = self._forward(example)

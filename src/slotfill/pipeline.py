@@ -49,7 +49,15 @@ from .postprocess import (
     normalize_date,
     rank_and_truncate,
 )
-from .query import SlotQuery, clean_aliases, document_matches_entity, link_entity, select_ir_alias
+from .query import (
+    SlotQuery,
+    clean_aliases,
+    document_matches_entity,
+    kb_idf,
+    kb_name_candidates,
+    link_entity,
+    select_ir_alias,
+)
 from .retrieval import InvertedIndex, build_index, retrieve_for_entity
 from . import resources
 
@@ -158,19 +166,23 @@ class ModelRegistry:
         return frozenset(self.models.get(slot, ()))
 
 
-def classifier_scores(models: ModelRegistry, canonical: str, view,
-                      kinds) -> dict[str, float]:
-    """The SVM, CNN and RNN-ensemble scores of ``view`` for the model kinds
-    in ``kinds`` (other kinds, such as "pattern", are ignored).  A kind
-    without a model for ``canonical`` raises ModelMissingError."""
+def classifier_scores(models: ModelRegistry, canonical: str, views,
+                      kinds) -> dict[str, list[float]]:
+    """The SVM, CNN and RNN-ensemble scores of each of ``views``, per model
+    kind in ``kinds`` (other kinds, such as "pattern", are ignored).  The
+    CNN scores all views in one pass.  A kind without a model for
+    ``canonical`` raises ModelMissingError."""
     scores = {}
     if "svm" in kinds:
-        scores["svm"] = svm_score(models.models_for(canonical, "svm")[0], view)
+        svm = models.models_for(canonical, "svm")[0]
+        scores["svm"] = [svm_score(svm, view) for view in views]
     if "cnn" in kinds:
-        scores["cnn"] = models.models_for(canonical, "cnn")[0].forward(view)
+        scores["cnn"] = models.models_for(canonical, "cnn")[0].forward_batch(
+            views)
     if "rnn" in kinds:
-        scores["rnn"] = rnn_ensemble_score(
-            [m.forward(view) for m in models.models_for(canonical, "rnn")])
+        rnns = models.models_for(canonical, "rnn")
+        scores["rnn"] = [rnn_ensemble_score([m.forward(view) for m in rnns])
+                         for view in views]
     return scores
 
 
@@ -328,17 +340,22 @@ def _seeded(state: SystemState, query: SlotQuery) -> tuple:
     return seeded
 
 
-def _score_candidate(state: SystemState, cfg: RunConfig, candidate,
-                     canonical: str, swapped: bool, canonical_cfg) -> float:
+def _score_candidates(state: SystemState, cfg: RunConfig, candidates: list,
+                      canonical: str, swapped: bool) -> list[float]:
+    """The interpolated score of each candidate: its pattern score alone
+    for a classifier-less slot, else combined with the classifier scores of
+    the run, which one ``classifier_scores`` call gives for all of them."""
     patterns = state.patterns.get(canonical, [])
-    pattern_score = match_patterns(candidate, patterns, swapped=swapped)
-    if canonical_cfg.classifier_less:
-        return pattern_score
-    scores = {"pattern": pattern_score}
-    scores.update(classifier_scores(state.models, canonical,
-                                    classifier_view(candidate, swapped),
-                                    cfg.classifiers))
-    return combine_scores(scores, state.weights)
+    pattern_scores = [match_patterns(c, patterns, swapped=swapped)
+                      for c in candidates]
+    if not candidates or state.slot_configs[canonical].classifier_less:
+        return pattern_scores
+    by_kind = classifier_scores(
+        state.models, canonical,
+        [classifier_view(c, swapped) for c in candidates], cfg.classifiers)
+    return [combine_scores(
+        {"pattern": p, **{kind: v[i] for kind, v in by_kind.items()}},
+        state.weights) for i, p in enumerate(pattern_scores)]
 
 
 def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
@@ -383,13 +400,13 @@ def extract_candidates(state: SystemState, query: SlotQuery,
         for doc, seed in seeded:
             context.update(_context_bag(
                 doc, _exact_name_mentions(seed, query.entity_name)))
-        target_id = link_entity(query, state.kb, context)
-        if target_id is not None:
-            target = next(e for e in state.kb if e.entity_id == target_id)
+        kb_entries = kb_name_candidates(query.entity_name, state.kb)
+        idf = kb_idf(state.kb)
+        target = link_entity(kb_entries, idf, context)
+        if target is not None:
             seeded = [(doc, seed) for doc, seed in seeded
                       if document_matches_entity(_context_bag(doc, seed),
-                                                 target, state.kb,
-                                                 query.entity_name)]
+                                                 target, kb_entries, idf)]
 
     entity = (query.entity_name, query.entity_type)
     candidates = []
@@ -412,13 +429,11 @@ def run_query(state: SystemState, query: SlotQuery, cfg: RunConfig) -> list[Answ
     """Execute the full pipeline for one query at its hop."""
     canonical, swapped = canonicalize_slot(query.slot, state.slot_configs)
     slot_cfg = state.slot_configs[query.slot]
-    canonical_cfg = state.slot_configs[canonical]
     candidates = extract_candidates(state, query, cfg)
+    scores = _score_candidates(state, cfg, candidates, canonical, swapped)
 
     answers = []
-    for candidate in candidates:
-        score = _score_candidate(state, cfg, candidate, canonical, swapped,
-                                 canonical_cfg)
+    for candidate, score in zip(candidates, scores):
         if score < effective_threshold(slot_cfg.threshold, query.hop,
                                        cfg.threshold_bonus):
             continue

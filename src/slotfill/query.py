@@ -177,7 +177,8 @@ def kb_name_candidates(name: str, kb: list[KBEntry]) -> list[KBEntry]:
     return out
 
 
-def _kb_idf(kb: list[KBEntry]) -> dict[str, float]:
+def kb_idf(kb: list[KBEntry]) -> dict[str, float]:
+    """Smoothed inverse document frequency of each description term."""
     n = len(kb)
     df: Counter = Counter()
     for entry in kb:
@@ -201,36 +202,34 @@ def tfidf_cosine(a: Counter, b: Counter, idf: dict[str, float]) -> float:
     return dot / (na * nb)
 
 
-def link_entity(query: SlotQuery, kb: list[KBEntry],
-                context_terms: Counter | None = None) -> str | None:
-    """Resolve the query entity to a KB entry by name match, ranked by TF-IDF
-    cosine between entry descriptions and the query's retrieved context."""
-    candidates = kb_name_candidates(query.entity_name, kb)
+def link_entity(candidates: list[KBEntry], idf: dict[str, float],
+                context_terms: Counter | None = None) -> KBEntry | None:
+    """Resolve the query entity to one of ``candidates``, its name-matching
+    KB entries (``kb_name_candidates``), ranked by TF-IDF cosine under the
+    KB's ``idf`` between entry descriptions and the query's retrieved
+    context; ties go to the smallest entity id."""
     if not candidates:
         return None
     if len(candidates) == 1:
-        return candidates[0].entity_id
-    idf = _kb_idf(kb)
+        return candidates[0]
     context = context_terms or Counter()
-    best = min(candidates,
+    return min(candidates,
                key=lambda e: (-tfidf_cosine(context, e.description_terms, idf),
                               e.entity_id))
-    return best.entity_id
 
 
 def document_matches_entity(mention_context: Counter, target: KBEntry,
-                            kb: list[KBEntry], name: str,
+                            candidates: list[KBEntry], idf: dict[str, float],
                             margin: float = LINK_MARGIN) -> bool:
-    """Gate a retrieved document: keep it unless some other name-matching KB
-    entry beats the linked target by at least ``margin`` in context cosine.
+    """Gate a retrieved document: keep it unless some other of the entity
+    name's ``candidates`` beats the linked target by at least ``margin`` in
+    context cosine under the KB's ``idf``.
 
     Ambiguity below the margin fails open (document retained), so the gate
     can only ever drop documents.
     """
-    candidates = kb_name_candidates(name, kb)
     if len(candidates) <= 1:
         return True
-    idf = _kb_idf(kb)
     target_score = tfidf_cosine(mention_context, target.description_terms, idf)
     best_other = max(
         tfidf_cosine(mention_context, e.description_terms, idf)

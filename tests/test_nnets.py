@@ -115,16 +115,18 @@ class TestCNNForward:
         emb = small_embeddings(dim=3)
         emb.vectors[emb.index("a")] = 0.0  # "a" acts as an explicit zero token
         model = CNNClassifier(emb, filters=4, width=2, hidden=3, seed=1)
-        seg_a = model._segment_forward(["a", "born", "in", "a", "a", "a"])
-        seg_b = model._segment_forward(["a", "a", "a", "born", "in", "a"])
+        seg_a = model._forward(
+            Example(("a", "born", "in", "a", "a", "a"), (), ()))["segs"][0]
+        seg_b = model._forward(
+            Example(("a", "a", "a", "born", "in", "a"), (), ()))["segs"][0]
         assert np.array_equal(seg_a["pooled"], seg_b["pooled"])
 
     def test_shared_filters_across_segments(self):
         # permuting which segment holds the words permutes pooled blocks only
         emb = small_embeddings()
         model = CNNClassifier(emb, filters=4, width=2, hidden=3, seed=2)
-        seg1 = model._segment_forward(["was", "born"])
-        seg2 = model._segment_forward(["was", "born"])
+        seg1 = model._forward(Example(("was", "born"), (), ()))["segs"][0]
+        seg2 = model._forward(Example((), ("was", "born"), ()))["segs"][1]
         assert np.array_equal(seg1["pooled"], seg2["pooled"])
 
         a = model._forward(Example(("was", "born"), ("in",), ()))

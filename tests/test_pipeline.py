@@ -225,10 +225,11 @@ class TestColdStart:
 
 
 class TestMissingModel:
-    def test_error_lists_slot(self):
+    @staticmethod
+    def modelless_state() -> SystemState:
         store = DocumentStore([
             make_document("d1", "news", "Steve Miller married Anna Miller.")])
-        state = SystemState(
+        return SystemState(
             store=store,
             index=build_index(store),
             slot_configs=resources.default_slot_configs(),
@@ -242,9 +243,22 @@ class TestMissingModel:
             weights=resources.default_weights(),
             models=ModelRegistry(),
         )
+
+    def test_error_lists_slot(self):
         q = SlotQuery("qx", "Steve Miller", "PER", "per:spouse")
-        with pytest.raises(ModelMissingError, match="per:spouse"):
-            run_query(state, q, configure_run(2))
+        with pytest.raises(ModelMissingError,
+                           match=r"^no svm model for slot 'per:spouse'$"):
+            run_query(self.modelless_state(), q, configure_run(2))
+
+    @pytest.mark.parametrize("name, slot", [
+        ("Steve Miller", "per:date_of_birth"),   # retrieved, no DATE filler
+        ("Nobody Known", "per:spouse"),          # nothing retrieved
+    ])
+    def test_no_candidate_needs_no_model(self, name, slot):
+        state = self.modelless_state()
+        q = SlotQuery("qy", name, "PER", slot)
+        assert not state.slot_configs[slot].classifier_less
+        assert run_query(state, q, configure_run(2)) == []
 
 
 VIEW = ClassifierView(("He",), ("studied", "at"), (".",), True)
@@ -255,7 +269,7 @@ class TestClassifierScores:
         # the fixture models hold no RNNs for per:schools_attended
         with pytest.raises(ModelMissingError, match="per:schools_attended"):
             classifier_scores(system_state.models, "per:schools_attended",
-                              VIEW, configure_run(3).classifiers)
+                              [VIEW], configure_run(3).classifiers)
 
     @pytest.mark.parametrize("slot, kinds", [
         ("per:location_of_birth", {"svm", "cnn", "rnn"}),
@@ -266,9 +280,28 @@ class TestClassifierScores:
                                                     kinds):
         models = system_state.models
         assert models.kinds_for(slot) == kinds
-        scores = classifier_scores(models, slot, VIEW, models.kinds_for(slot))
+        scores = classifier_scores(models, slot, [VIEW], models.kinds_for(slot))
         assert set(scores) == kinds
-        assert all(0.0 <= v <= 1.0 for v in scores.values())
+        assert all(0.0 <= v <= 1.0 for vs in scores.values() for v in vs)
+
+
+    def test_batch_scores_equal_one_view_calls(self, system_state):
+        # the CNN scores a batch in one pass; the SVM and the RNNs per view
+        slot = "per:location_of_birth"
+        models = system_state.models
+        views = [VIEW, ClassifierView((), ("was", "born", "in"), ("Ulm",),
+                                      False),
+                 ClassifierView(("Born",), (), (), True), VIEW]
+        kinds = models.kinds_for(slot)
+        batch = classifier_scores(models, slot, views, kinds)
+        assert list(batch) == ["svm", "cnn", "rnn"]
+        for i, view in enumerate(views):
+            one = classifier_scores(models, slot, [view], kinds)
+            for kind in kinds:
+                assert len(batch[kind]) == len(views)
+                assert batch[kind][i] == pytest.approx(one[kind][0], rel=0,
+                                                       abs=1e-12)
+        assert batch == classifier_scores(models, slot, views, kinds)
 
 
 class TestModelTable:
@@ -380,6 +413,49 @@ class TestOneMentionPass:
             entities.add(entity)
         assert first_searched, "no fixture query retrieved a document"
         assert gated, "no fixture query reached the linking gate"
+
+    def test_gate_inputs_computed_once_per_query(self, load_fixture_system,
+                                                 queries, monkeypatch):
+        from slotfill import pipeline
+        from slotfill.query import KBEntry, kb_idf, kb_name_candidates, term_bag
+
+        calls, idf_calls = [], []
+
+        def gate(context, target, candidates, idf, *args):
+            keep = real_gate(context, target, candidates, idf, *args)
+            calls.append((context, target, candidates, idf, keep))
+            return keep
+
+        def idf_once(kb):
+            idf_calls.append(kb)
+            return real_idf(kb)
+
+        real_gate, real_idf = pipeline.document_matches_entity, pipeline.kb_idf
+        monkeypatch.setattr(pipeline, "document_matches_entity", gate)
+        monkeypatch.setattr(pipeline, "kb_idf", idf_once)
+        state = load_fixture_system()
+        # homonyms, so that the gate compares contexts and drops some docs
+        state.kb = state.kb + [
+            KBEntry("kb_steve_miller_2", "Steve Miller", [],
+                    term_bag("raised germany hamburg guitar")),
+            KBEntry("kb_acme_2", "Acme Corp", [],
+                    term_bag("cartoon anvil percent grew"))]
+        decisions = Counter()
+        for query in queries:
+            calls.clear()
+            idf_calls.clear()
+            run_query(state, query, configure_run(4))
+            if not calls:
+                continue
+            assert len(idf_calls) == 1, query.id
+            # the per-document oracle: candidates and idf computed afresh
+            for context, target, candidates, idf, keep in calls:
+                assert candidates is calls[0][2] and idf is calls[0][3]
+                fresh = kb_name_candidates(query.entity_name, state.kb)
+                assert keep == real_gate(context, target, fresh,
+                                         kb_idf(state.kb)), query.id
+                decisions[keep] += 1
+        assert decisions[True] and decisions[False], decisions
 
     def test_exact_name_mentions_match_single_name_pass(self, system_state,
                                                         queries):
@@ -661,14 +737,14 @@ class TestClassifierLessScoring:
     def test_combined_equals_pattern_exactly(self, system_state):
         # classifier-less slots score through patterns alone, even with an
         # empty model registry
-        from slotfill.pipeline import _score_candidate, extract_candidates
+        from slotfill.pipeline import _score_candidates, extract_candidates
 
         cfg = configure_run(2)
         q = SlotQuery("qx", "Maria Gomez", "PER", "per:charges")
         candidates = extract_candidates(system_state, q, cfg)
         assert candidates
         bare = SystemState(**{**system_state.__dict__, "models": ModelRegistry()})
-        for c in candidates:
-            score = _score_candidate(bare, cfg, c, "per:charges", False,
-                                     system_state.slot_configs["per:charges"])
+        scores = _score_candidates(bare, cfg, candidates, "per:charges", False)
+        assert len(scores) == len(candidates)
+        for score in scores:
             assert score in (0.0, 1.0)

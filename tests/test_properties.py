@@ -1,12 +1,19 @@
 """Property tests over randomly generated inputs."""
 
+import hashlib
+
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from slotfill.classify import combine_scores
+import cnn_oracle
+from slotfill.classify import _hash_feature, combine_scores
 from slotfill.corpus import make_document, strip_quote_spans, tokenize
 from slotfill.extract import Gazetteers, split_contexts, tag_entities
 from slotfill.mentions import bounded_levenshtein, split_pieces
+from slotfill.nnets import CNNClassifier, EmbeddingMatrix
+from slotfill.nnets.cnn import WIDTH
+from slotfill.pipeline import ClassifierView
 from slotfill.postprocess import DATE_RE, normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_gazetteers
@@ -241,6 +248,62 @@ class TestCombineScores:
         combined = combine_scores(scores, weights)
         assert min(scores.values()) - 1e-12 <= combined \
             <= max(scores.values()) + 1e-12
+
+
+CNN_WORDS = ["he", "was", "born", "in", "paris", "studied", "at", "école"]
+# known words, their case variants, and words outside the vocabulary
+cnn_tokens = st.sampled_from(CNN_WORDS + ["He", "BORN", "Paris", "ÉCOLE",
+                                          "zzz", "Ünknown", ",", "."])
+cnn_segments = st.lists(cnn_tokens, max_size=2 * WIDTH + 1).map(tuple)
+cnn_views = st.builds(ClassifierView, cnn_segments, cnn_segments,
+                      cnn_segments, st.booleans())
+
+
+def _cnn_model() -> CNNClassifier:
+    emb = EmbeddingMatrix.build(CNN_WORDS, dim=16, seed=5)
+    return CNNClassifier(emb, filters=12, hidden=16, seed=5)
+
+
+class TestFusedCNN:
+    """The CNN's one pass over a batch's token block against the
+    per-segment oracle."""
+
+    model = _cnn_model()
+
+    @given(st.lists(cnn_views, min_size=1, max_size=40))
+    @example([ClassifierView((), (), (), True)])
+    @example([ClassifierView(("He",), ("was", "born", "in"), ("Paris",),
+                             False), ClassifierView((), (), (), True)])
+    def test_batch_matches_per_segment_oracle(self, views):
+        scores = self.model.forward_batch(views)
+        assert len(scores) == len(views)
+        for view, score in zip(views, scores):
+            assert abs(score - cnn_oracle.forward(self.model, view)) <= 1e-12
+        assert self.model.forward_batch(views) == scores
+
+    @given(cnn_views)
+    def test_segment_views_match_oracle(self, view):
+        cache = self.model._forward(view)
+        tokens = (view.left, view.middle, view.right)
+        for seg, segment in zip(cache["segs"], tokens):
+            want = cnn_oracle.segment_forward(self.model, segment)
+            assert seg["ids"] == want["ids"]
+            assert np.array_equal(seg["windows"], want["windows"])
+            assert np.allclose(seg["z"], want["z"], rtol=0, atol=1e-12)
+            assert np.allclose(seg["pooled"], want["pooled"], rtol=0,
+                               atol=1e-12)
+
+
+class TestFeatureHashMemo:
+    @given(st.text(max_size=30), st.sampled_from([1, 18, 24]))
+    @example("M:école", 18)
+    @example("L:中文", 18)
+    def test_memo_equals_blake2b(self, name, bits):
+        digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
+        want = int.from_bytes(digest, "big") % (1 << bits)
+        assert _hash_feature.__wrapped__(name, bits) == want
+        assert _hash_feature(name, bits) == want
+        assert _hash_feature(name, bits) == want
 
 
 class TestDates:

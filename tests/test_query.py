@@ -10,6 +10,8 @@ from slotfill.query import (
     SlotQuery,
     clean_aliases,
     document_matches_entity,
+    kb_idf,
+    kb_name_candidates,
     levenshtein,
     link_entity,
     select_ir_alias,
@@ -131,21 +133,34 @@ def make_kb():
     ]
 
 
+def link(query, kb, context=None):
+    """The linked entry's id, from the query name's candidates and the
+    KB's idf computed for this one call."""
+    target = link_entity(kb_name_candidates(query.entity_name, kb),
+                         kb_idf(kb), context)
+    return None if target is None else target.entity_id
+
+
+def gate(context, target, kb, name):
+    return document_matches_entity(context, target,
+                                   kb_name_candidates(name, kb), kb_idf(kb))
+
+
 class TestLinkEntity:
     def test_unique_name_match(self):
         q = SlotQuery("q1", "Orange", "ORG", "org:city_of_headquarters")
-        assert link_entity(q, make_kb()) == "e_other"
+        assert link(q, make_kb()) == "e_other"
 
     def test_context_disambiguates(self):
         q = SlotQuery("q1", "Apple", "ORG", "org:city_of_headquarters")
         ctx = term_bag("iphone ceo announcement")
-        assert link_entity(q, make_kb(), ctx) == "e_company"
+        assert link(q, make_kb(), ctx) == "e_company"
         ctx2 = term_bag("orchard fruit harvest")
-        assert link_entity(q, make_kb(), ctx2) == "e_fruit"
+        assert link(q, make_kb(), ctx2) == "e_fruit"
 
     def test_no_match_returns_none(self):
         q = SlotQuery("q1", "Missing Name", "PER", "per:age")
-        assert link_entity(q, make_kb()) is None
+        assert link(q, make_kb()) is None
 
     def test_cosine_hand_computed(self):
         # two single-term bags sharing one term: cosine reduces to
@@ -163,30 +178,30 @@ class TestDocumentGate:
     def test_single_candidate_default_true(self):
         kb = make_kb()
         target = kb[2]
-        assert document_matches_entity(term_bag("anything"), target, kb, "Orange")
+        assert gate(term_bag("anything"), target, kb, "Orange")
 
     def test_wrong_referent_dropped(self):
         kb = make_kb()
         target = kb[0]  # the company
         fruit_doc = term_bag("fruit orchard tree sweet harvest")
-        assert not document_matches_entity(fruit_doc, target, kb, "Apple")
+        assert not gate(fruit_doc, target, kb, "Apple")
 
     def test_right_referent_kept(self):
         kb = make_kb()
         target = kb[0]
         company_doc = term_bag("cupertino iphone technology")
-        assert document_matches_entity(company_doc, target, kb, "Apple")
+        assert gate(company_doc, target, kb, "Apple")
 
     def test_ambiguous_fails_open(self):
         kb = make_kb()
         target = kb[0]
         neutral = term_bag("unrelated words entirely")
-        assert document_matches_entity(neutral, target, kb, "Apple")
+        assert gate(neutral, target, kb, "Apple")
 
     def test_entity_absent_from_kb_always_true(self):
         kb = make_kb()
         target = kb[0]
-        assert document_matches_entity(term_bag("fruit"), target, kb, "Nokia")
+        assert gate(term_bag("fruit"), target, kb, "Nokia")
 
     def test_gate_never_adds_documents(self):
         # retained set is a subset of ungated set by construction: the gate is
@@ -196,5 +211,5 @@ class TestDocumentGate:
         rng = random.Random(2)
         vocab = ["iphone", "fruit", "tree", "ceo", "random", "words"]
         docs = [term_bag(" ".join(rng.choices(vocab, k=5))) for _ in range(20)]
-        kept = [d for d in docs if document_matches_entity(d, target, kb, "Apple")]
+        kept = [d for d in docs if gate(d, target, kb, "Apple")]
         assert len(kept) <= len(docs)
