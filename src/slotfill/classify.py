@@ -1,10 +1,17 @@
 """Pattern matching, the linear max-margin classifier, and linear
 interpolation of the per-classifier scores.
 
+All four scorers (patterns, the SVM here, the CNN and the RNNs) read one
+view of a candidate: its ``left``, ``middle`` and ``right`` context tokens
+and whether the entity comes first, flipped for inverse slots.
+
 Patterns are token templates with one <ENTITY> and one <FILLER> placeholder
-and bounded wildcards ``*k`` (matching 0..k tokens, k <= 5); a template may
-match anywhere in the sentence but the placeholders must align exactly with
-the candidate's argument spans.
+and bounded wildcards ``*k`` (matching 0..k tokens, k <= 5).  A template may
+match anywhere in the sentence, but the placeholders must sit exactly on the
+argument spans, so the span tokens are never compared: the template's
+placeholder order must be the view's argument order, the tokens before the
+first placeholder must end ``left``, the ones between the placeholders must
+fill all of ``middle``, and the ones after the second must begin ``right``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ import functools
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +38,15 @@ CLASSIFIER_ORDER = ("pattern", "svm", "cnn", "rnn")
 
 @dataclass(frozen=True)
 class Pattern:
+    """A template, compiled once into its argument order (``entity_first``)
+    and its three ``runs``: before the first placeholder (reversed, so it
+    reads outward from the span), between the placeholders, and after the
+    second.  A run holds lowered literals and, for each ``*k``, the int k."""
     slot: str
     template: tuple[str, ...]
+    entity_first: bool = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple, tuple, tuple] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.template.count(ENTITY_SLOT) != 1 \
@@ -39,15 +54,28 @@ class Pattern:
             raise ValueError(
                 f"template needs exactly one {ENTITY_SLOT} and one "
                 f"{FILLER_SLOT}: {' '.join(self.template)}")
+        items = []
         for tok in self.template:
-            if tok.startswith("*"):
-                k = int(tok[1:])
-                if not 0 < k <= MAX_WILDCARD:
-                    raise ValueError(f"wildcard bound out of range: {tok}")
+            if not tok.startswith("*"):
+                items.append(tok.lower())
+                continue
+            bound = int(tok[1:]) if tok[1:].isdecimal() else 0
+            if not 0 < bound <= MAX_WILDCARD:
+                raise ValueError(
+                    f"bad wildcard bound {tok} (want *1..*{MAX_WILDCARD}): "
+                    f"{' '.join(self.template)}")
+            items.append(bound)
+        e, f = self.template.index(ENTITY_SLOT), self.template.index(FILLER_SLOT)
+        first, second = min(e, f), max(e, f)
+        object.__setattr__(self, "entity_first", e < f)
+        object.__setattr__(self, "runs", (tuple(items[:first][::-1]),
+                                          tuple(items[first + 1:second]),
+                                          tuple(items[second + 1:])))
 
 
 def load_patterns(path: str | Path) -> dict[str, list[Pattern]]:
-    """TSV ``slot<TAB>template`` -> patterns grouped by slot."""
+    """TSV ``slot<TAB>template`` -> patterns grouped by slot; a bad
+    template raises ValueError naming the file and line."""
     patterns: dict[str, list[Pattern]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -59,78 +87,39 @@ def load_patterns(path: str | Path) -> dict[str, list[Pattern]]:
                 log.warning("%s: line %d: expected 2 fields", path, line_no)
                 continue
             slot, template = parts
-            patterns.setdefault(slot, []).append(
-                Pattern(slot, tuple(template.split())))
+            try:
+                pattern = Pattern(slot, tuple(template.split()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            patterns.setdefault(slot, []).append(pattern)
     return patterns
 
 
-def _match_from(template: tuple[str, ...], ti: int, tokens: list[str],
-                si: int, entity_span: tuple[int, int],
-                filler_span: tuple[int, int]) -> bool:
-    if ti == len(template):
-        return True
-    item = template[ti]
-    if item == ENTITY_SLOT:
-        start, end = entity_span
-        if si != start:
+def _run_matches(run: tuple, tokens: Sequence[str], whole: bool = False,
+                 i: int = 0) -> bool:
+    """Whether ``run`` matches ``tokens[i:]`` to its end (``whole``) or up
+    to any position: a literal matches one token case-insensitively, a
+    bound k skips 0..k tokens."""
+    for j, item in enumerate(run):
+        if type(item) is int:
+            return any(_run_matches(run[j + 1:], tokens, whole, i + skip)
+                       for skip in range(min(item, len(tokens) - i) + 1))
+        if i == len(tokens) or tokens[i].lower() != item:
             return False
-        return _match_from(template, ti + 1, tokens, end, entity_span, filler_span)
-    if item == FILLER_SLOT:
-        start, end = filler_span
-        if si != start:
-            return False
-        return _match_from(template, ti + 1, tokens, end, entity_span, filler_span)
-    if item.startswith("*"):
-        bound = int(item[1:])
-        for skip in range(0, bound + 1):
-            if si + skip > len(tokens):
-                break
-            if _match_from(template, ti + 1, tokens, si + skip,
-                           entity_span, filler_span):
-                return True
-        return False
-    if si >= len(tokens) or tokens[si].lower() != item.lower():
-        return False
-    return _match_from(template, ti + 1, tokens, si + 1, entity_span, filler_span)
+        i += 1
+    return not whole or i == len(tokens)
 
 
-def candidate_token_layout(example) -> tuple[list[str], tuple[int, int], tuple[int, int]]:
-    """Rebuild the sentence token list and argument spans from a
-    candidate-shaped example.
-
-    Candidates carry their span surfaces; bare training examples do not, so
-    each span collapses to a single placeholder token there.
-    """
-    entity_tokens = list(getattr(example, "entity_tokens", ("<entity>",)))
-    filler_tokens = list(getattr(example, "filler_tokens", ("<filler>",)))
-    first, second = (entity_tokens, filler_tokens) if example.entity_first \
-        else (filler_tokens, entity_tokens)
-    tokens = list(example.left)
-    s1 = len(tokens)
-    tokens.extend(first)
-    e1 = len(tokens)
-    tokens.extend(example.middle)
-    s2 = len(tokens)
-    tokens.extend(second)
-    e2 = len(tokens)
-    tokens.extend(example.right)
-    if example.entity_first:
-        return tokens, (s1, e1), (s2, e2)
-    return tokens, (s2, e2), (s1, e1)
-
-
-def match_patterns(example, patterns: list[Pattern],
-                   swapped: bool = False) -> float:
-    """1.0 iff any template matches with the placeholders aligned to the
-    example's spans (roles swapped for inverse slots); else 0.0."""
-    tokens, entity_span, filler_span = candidate_token_layout(example)
-    if swapped:
-        entity_span, filler_span = filler_span, entity_span
+def match_patterns(view, patterns: list[Pattern]) -> float:
+    """1.0 iff any template matches ``view`` (anything with ``left``,
+    ``middle``, ``right`` and ``entity_first``) by the module's rule; else 0.0."""
     for pattern in patterns:
-        for start in range(len(tokens) + 1):
-            if _match_from(pattern.template, 0, tokens, start,
-                           entity_span, filler_span):
-                return 1.0
+        before, between, after = pattern.runs
+        if pattern.entity_first == view.entity_first \
+                and _run_matches(between, view.middle, whole=True) \
+                and _run_matches(after, view.right) \
+                and _run_matches(before, view.left[::-1]):
+            return 1.0
     return 0.0
 
 

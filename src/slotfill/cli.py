@@ -101,9 +101,9 @@ def _cmd_tune(args) -> int:
     for i, ex in enumerate(dev):
         canonical, swapped = canonicalize_slot(ex.slot, slot_configs)
         rows.setdefault(canonical, []).append(i)
-        scores.append({"pattern": match_patterns(
-            ex, patterns.get(canonical, []), swapped=swapped)})
         views.append(classifier_view(ex, swapped))
+        scores.append({"pattern": match_patterns(
+            views[-1], patterns.get(canonical, []))})
     for canonical, idx in rows.items():
         by_kind = classifier_scores(registry, canonical,
                                     [views[i] for i in idx],

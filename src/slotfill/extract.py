@@ -235,8 +235,6 @@ def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
 
 @dataclass(frozen=True)
 class Candidate:
-    query_id: str
-    slot: str
     doc_id: str
     entity_mention: Mention
     filler: NESpan
@@ -245,14 +243,6 @@ class Candidate:
     right: tuple[str, ...]
     entity_first: bool
     canonical_filler: str
-
-    @property
-    def entity_tokens(self) -> tuple[str, ...]:
-        return tuple(self.entity_mention.surface.split(" "))
-
-    @property
-    def filler_tokens(self) -> tuple[str, ...]:
-        return tuple(self.filler.surface.split(" "))
 
 
 def split_contexts(tokens: Sequence[str], entity_span: tuple[int, int],
@@ -274,8 +264,7 @@ def split_contexts(tokens: Sequence[str], entity_span: tuple[int, int],
 def candidates_for_slot(doc: Document, sentence_index: int,
                         entity_mentions: list[Mention], slot_config: SlotConfig,
                         spans: list[NESpan],
-                        chains: list[CorefChain] | None = None,
-                        query_id: str = "") -> list[Candidate]:
+                        chains: list[CorefChain] | None = None) -> list[Candidate]:
     """Pair every entity mention in the sentence with every filler span of the
     slot's type.  Person fillers are canonicalized through coreference; a
     pronoun that resolves to a proper name becomes a PER filler too.
@@ -323,8 +312,6 @@ def candidates_for_slot(doc: Document, sentence_index: int,
                 texts, (mention.token_start, mention.token_end),
                 (span.token_start, span.token_end))
             out.append(Candidate(
-                query_id=query_id,
-                slot=slot_config.slot,
                 doc_id=doc.id,
                 entity_mention=mention,
                 filler=span,

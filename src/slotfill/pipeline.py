@@ -103,8 +103,8 @@ class EvalCounts:
 
 @dataclass(frozen=True)
 class ClassifierView:
-    """A candidate or labeled example as the SVM, CNN and RNN read it, with
-    the argument order flipped for inverse slots."""
+    """A candidate or labeled example as the patterns, SVM, CNN and RNN read
+    it, with the argument order flipped for inverse slots."""
     left: tuple[str, ...]
     middle: tuple[str, ...]
     right: tuple[str, ...]
@@ -345,14 +345,13 @@ def _score_candidates(state: SystemState, cfg: RunConfig, candidates: list,
     """The interpolated score of each candidate: its pattern score alone
     for a classifier-less slot, else combined with the classifier scores of
     the run, which one ``classifier_scores`` call gives for all of them."""
+    views = [classifier_view(c, swapped) for c in candidates]
     patterns = state.patterns.get(canonical, [])
-    pattern_scores = [match_patterns(c, patterns, swapped=swapped)
-                      for c in candidates]
+    pattern_scores = [match_patterns(v, patterns) for v in views]
     if not candidates or state.slot_configs[canonical].classifier_less:
         return pattern_scores
-    by_kind = classifier_scores(
-        state.models, canonical,
-        [classifier_view(c, swapped) for c in candidates], cfg.classifiers)
+    by_kind = classifier_scores(state.models, canonical, views,
+                                cfg.classifiers)
     return [combine_scores(
         {"pattern": p, **{kind: v[i] for kind, v in by_kind.items()}},
         state.weights) for i, p in enumerate(pattern_scores)]
@@ -418,7 +417,7 @@ def extract_candidates(state: SystemState, query: SlotQuery,
         for sentence_index in sorted({m.sentence_index for m in mentions}):
             spans = _tagged(state, doc, sentence_index)
             found = candidates_for_slot(doc, sentence_index, mentions, slot_cfg,
-                                        spans, chains=chains, query_id=query.id)
+                                        spans, chains=chains)
             candidates.extend(
                 c for c in found
                 if filter_impossible(c, slot_cfg, state.validation))

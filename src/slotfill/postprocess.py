@@ -198,14 +198,16 @@ def normalize_date(surface: str) -> str | None:
 
 def rank_and_truncate(answers: list[Answer], slot_config) -> list[Answer]:
     """Sort by score desc (ties: doc id, then filler), collapse duplicate
-    normalized surfaces keeping the best-scored, keep top 1 or top N."""
+    normalized surfaces, compared case-insensitively as scoring matches
+    them, keeping the best-ranked, keep top 1 or top N."""
     ranked = sorted(answers, key=lambda a: (-a.score, a.doc_id, a.filler))
     deduped: list[Answer] = []
     seen: set[str] = set()
     for a in ranked:
-        if a.filler in seen:
+        key = a.filler.lower()
+        if key in seen:
             continue
-        seen.add(a.filler)
+        seen.add(key)
         deduped.append(a)
     n = 1 if slot_config.single_valued else slot_config.top_n
     return deduped[:n]

@@ -91,10 +91,11 @@ def load_examples(path: str | Path) -> list[LabeledExample]:
 
 
 def load_triggers(path: str | Path) -> dict[str, list]:
-    """TSV ``slot<TAB>trigger``; a trigger is a word or a full template."""
+    """TSV ``slot<TAB>trigger``; a trigger is a word or a full template.  A
+    bad template raises ValueError naming the file and line."""
     triggers: dict[str, list] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -103,8 +104,11 @@ def load_triggers(path: str | Path) -> dict[str, list]:
                 continue
             slot, trigger = parts
             if ENTITY_SLOT in trigger or FILLER_SLOT in trigger:
-                triggers.setdefault(slot, []).append(
-                    Pattern(slot, tuple(trigger.split())))
+                try:
+                    pattern = Pattern(slot, tuple(trigger.split()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                triggers.setdefault(slot, []).append(pattern)
             else:
                 triggers.setdefault(slot, []).append(trigger.lower())
     return triggers
@@ -148,11 +152,11 @@ def generate_positive_examples(store: DocumentStore, kb: list[RelationInstance],
     return out
 
 
-def _sentence_triggered(lower_tokens: tuple[str, ...], example_like,
+def _sentence_triggered(lower_tokens: tuple[str, ...], example: LabeledExample,
                         triggers: list) -> bool:
     for trigger in triggers:
         if isinstance(trigger, Pattern):
-            if match_patterns(example_like, [trigger]) == 1.0:
+            if match_patterns(example, [trigger]) == 1.0:
                 return True
         elif trigger in lower_tokens:
             return True

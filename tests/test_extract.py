@@ -126,8 +126,7 @@ class TestCandidatesForSlot:
         doc = make_document("d1", "news", "Steve Miller was born in Munich.")
         ms = find_name_mentions(doc, ["Steve Miller"])
         spans = tag_entities(doc.sentences[0], gaz)
-        cands = candidates_for_slot(doc, 0, ms, slots["per:city_of_birth"], spans,
-                                    query_id="q")
+        cands = candidates_for_slot(doc, 0, ms, slots["per:city_of_birth"], spans)
         # the PER span "Steve Miller" is not a GPE filler; only Munich pairs
         assert len(cands) == 1
         c = cands[0]
@@ -139,8 +138,7 @@ class TestCandidatesForSlot:
         doc = make_document("d1", "news", "Maria Gomez worked as a chef.")
         ms = find_name_mentions(doc, ["Maria Gomez"])
         spans = tag_entities(doc.sentences[0], gaz)
-        cands = candidates_for_slot(doc, 0, ms, slots["per:title"], spans,
-                                    query_id="q")
+        cands = candidates_for_slot(doc, 0, ms, slots["per:title"], spans)
         assert len(cands) == 1
         assert cands[0].filler.surface == "chef"
         assert cands[0].filler.ne_type == "TITLE"
@@ -161,7 +159,7 @@ class TestCandidatesForSlot:
         org_mentions = find_name_mentions(doc, ["University of Munich"])
         spans = tag_entities(doc.sentences[1], gaz)
         cands = candidates_for_slot(doc, 1, org_mentions, slots["org:students"],
-                                    spans, chains=[chain], query_id="q")
+                                    spans, chains=[chain])
         assert len(cands) == 1
         assert cands[0].filler.surface == "He"
         assert cands[0].canonical_filler == "John Smith"
@@ -172,7 +170,7 @@ class TestCandidatesForSlot:
         org_mentions = find_name_mentions(doc, ["University of Munich"])
         spans = tag_entities(doc.sentences[1], gaz)
         cands = candidates_for_slot(doc, 1, org_mentions, slots["org:students"],
-                                    spans, chains=[], query_id="q")
+                                    spans, chains=[])
         assert cands == []
 
     def test_order_independent(self, gaz, slots):
@@ -186,34 +184,33 @@ class TestCandidatesForSlot:
             {(c.filler.surface, c.entity_mention.span) for c in b}
 
 
-def make_candidate(slot, entity_surface, filler_surface, filler_type):
+def make_candidate(entity_surface, filler_surface, filler_type):
     mention = Mention("d1", 0, 0, 1, entity_surface, "exact")
     span = NESpan(0, 2, 3, filler_type, filler_surface)
-    return Candidate("q", slot, "d1", mention, span, (), ("x",), (),
-                     True, filler_surface)
+    return Candidate("d1", mention, span, (), ("x",), (), True, filler_surface)
 
 
 class TestFilterImpossible:
     def test_float_employee_count(self, slots, validation):
-        c = make_candidate("org:number_of_employees_members", "Acme", "3.5", "NUMBER")
+        c = make_candidate("Acme", "3.5", "NUMBER")
         assert not filter_impossible(c, slots["org:number_of_employees_members"],
                                      validation)
 
     def test_age_out_of_range(self, slots, validation):
-        c = make_candidate("per:age", "Steve", "230", "NUMBER")
+        c = make_candidate("Steve", "230", "NUMBER")
         assert not filter_impossible(c, slots["per:age"], validation)
 
     def test_valid_age(self, slots, validation):
-        c = make_candidate("per:age", "Steve", "34", "NUMBER")
+        c = make_candidate("Steve", "34", "NUMBER")
         assert filter_impossible(c, slots["per:age"], validation)
 
     def test_unparseable_date(self, slots, validation):
-        c = make_candidate("per:date_of_birth", "Steve", "June 99 , 1985", "DATE")
+        c = make_candidate("Steve", "June 99 , 1985", "DATE")
         assert not filter_impossible(c, slots["per:date_of_birth"], validation)
 
     def test_filler_equal_to_entity(self, slots, validation):
-        c = make_candidate("per:spouse", "John Smith", "John Smith", "PER")
-        c = Candidate("q", "per:spouse", "d1",
+        c = make_candidate("John Smith", "John Smith", "PER")
+        c = Candidate("d1",
                       Mention("d1", 0, 0, 2, "John Smith", "exact"),
                       NESpan(0, 5, 7, "PER", "john smith"), (), ("and",), (),
                       True, "john smith")

@@ -1,6 +1,7 @@
 """Thresholds, location disambiguation/inference, dates, ranking."""
 
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -158,6 +159,15 @@ class TestRankAndTruncate:
         fillers = [a.filler for a in out]
         assert fillers.count("A") == 1
         assert out[0].score == 0.9
+
+    def test_case_variant_surfaces_collapsed(self):
+        cfg = replace(default_slot_configs()["per:cities_of_residence"],
+                      top_n=2)
+        answers = [answer("PARIS", 0.6), answer("Paris", 0.9),
+                   answer("Lyon", 0.5)]
+        out = rank_and_truncate(answers, cfg)
+        assert [(a.filler, a.score) for a in out] == [("Paris", 0.9),
+                                                      ("Lyon", 0.5)]
 
     def test_scores_non_increasing(self):
         slots = default_slot_configs()

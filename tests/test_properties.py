@@ -1,19 +1,29 @@
 """Property tests over randomly generated inputs."""
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cnn_oracle
-from slotfill.classify import _hash_feature, combine_scores
+import pattern_oracle
+from slotfill.classify import (
+    ENTITY_SLOT,
+    FILLER_SLOT,
+    MAX_WILDCARD,
+    Pattern,
+    _hash_feature,
+    combine_scores,
+    match_patterns,
+)
 from slotfill.corpus import make_document, strip_quote_spans, tokenize
 from slotfill.extract import Gazetteers, split_contexts, tag_entities
 from slotfill.mentions import bounded_levenshtein, split_pieces
 from slotfill.nnets import CNNClassifier, EmbeddingMatrix
 from slotfill.nnets.cnn import WIDTH
-from slotfill.pipeline import ClassifierView
+from slotfill.pipeline import ClassifierView, classifier_view
 from slotfill.postprocess import DATE_RE, normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_gazetteers
@@ -292,6 +302,76 @@ class TestFusedCNN:
             assert np.allclose(seg["z"], want["z"], rtol=0, atol=1e-12)
             assert np.allclose(seg["pooled"], want["pooled"], rtol=0,
                                atol=1e-12)
+
+
+PATTERN_WORDS = ["born", "in", "at"]
+# template literals and context tokens share words, in mixed case
+pattern_items = st.one_of(
+    st.sampled_from(PATTERN_WORDS + ["Born", "IN"]),
+    st.integers(1, MAX_WILDCARD).map(lambda k: f"*{k}"))
+pattern_runs = st.lists(pattern_items, max_size=4)
+context_tokens = st.sampled_from(PATTERN_WORDS + ["BORN", "At", "zzz"])
+context_segments = st.lists(context_tokens, max_size=12).map(tuple)
+span_tokens = st.lists(context_tokens, min_size=1, max_size=3).map(tuple)
+
+
+@dataclass(frozen=True)
+class SpanExample:
+    """An example with its span surfaces, which the oracle lays out."""
+    left: tuple
+    middle: tuple
+    right: tuple
+    entity_first: bool
+    entity_tokens: tuple
+    filler_tokens: tuple
+
+
+@st.composite
+def pattern_cases(draw):
+    """A template, an example and a swap flag.  Half of the examples are
+    built to fit the template's runs (each literal in some case, each *k as
+    up to k tokens), with random tokens around and any argument order."""
+    before, between, after = (draw(pattern_runs) for _ in range(3))
+    first, second = draw(st.permutations([ENTITY_SLOT, FILLER_SLOT]))
+    pattern = Pattern("s", tuple(before + [first] + between + [second] + after))
+
+    def fill(run):
+        out = []
+        for item in run:
+            if item.startswith("*"):
+                out += draw(st.lists(context_tokens, max_size=int(item[1:])))
+            else:
+                out.append(draw(st.sampled_from(
+                    [item, item.lower(), item.upper(), item.title()])))
+        return tuple(out)
+
+    if draw(st.booleans()):
+        left = draw(context_segments) + fill(before)
+        middle = fill(between)
+        right = fill(after) + draw(context_segments)
+    else:
+        left, middle, right = (draw(context_segments) for _ in range(3))
+    ex = SpanExample(left, middle, right, draw(st.booleans()),
+                     draw(span_tokens), draw(span_tokens))
+    return pattern, ex, draw(st.booleans())
+
+
+class TestPatternOracle:
+    """The three-run match on the view against the sentence rebuilt and
+    scanned from every start."""
+
+    @settings(max_examples=500)
+    @given(pattern_cases())
+    @example((Pattern("s", ("<ENTITY>", "<FILLER>")),
+              SpanExample((), (), (), True, ("a",), ("b",)), False))
+    @example((Pattern("s", ("at", "*2", "in", "<FILLER>", "born",
+                            "<ENTITY>", "*1", "in")),
+              SpanExample(("x", "AT", "zzz", "In"), ("BORN",), ("y", "in"),
+                          True, ("a",), ("b", "c")), True))
+    def test_view_match_equals_sentence_scan(self, case):
+        pattern, ex, swapped = case
+        want = pattern_oracle.match_patterns(ex, [pattern], swapped)
+        assert match_patterns(classifier_view(ex, swapped), [pattern]) == want
 
 
 class TestFeatureHashMemo:

@@ -11,6 +11,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 from slotfill import pipeline, retrieval, trainer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,3 +95,34 @@ def test_run_script_names_exist(monkeypatch):
     missing = [f"{m}.{n}" for m, n in called
                if not hasattr(importlib.import_module(m), n)]
     assert not missing
+
+
+@pytest.fixture(scope="module")
+def traced_counts(load_fixture_system, fixtures_dir):
+    """The tracer's counts for the fixture queries under runs 2 and 4, each
+    on a fresh system with the layers installed, restored afterwards."""
+    layers = _layers()
+    queries = pipeline.load_queries(fixtures_dir / "queries.jsonl")
+    counts = {}
+    for run_id in (2, 4):
+        state = load_fixture_system()
+        tracer = layers.Tracer()
+        layers.install(tracer)
+        try:
+            pipeline.run_queries(state, queries, pipeline.configure_run(run_id))
+        finally:
+            tracer.restore()
+        counts[run_id] = tracer.counts
+    return counts
+
+
+@pytest.mark.parametrize("run_id", [2, 4])
+def test_traced_counters_read_the_pipeline(traced_counts, run_id):
+    # every candidate is pattern-scored through pipeline.match_patterns
+    c = traced_counts[run_id]
+    assert c["classify.scored"] == c["extract.candidates"] > 0
+    for name in ("mentions.find_calls", "extract.tag_calls",
+                 "retrieval.docs_scored"):
+        assert c[name] > 0, name
+    if run_id == 4:
+        assert c["query.link_calls"] > 0

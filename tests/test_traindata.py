@@ -273,3 +273,12 @@ class TestExampleIO:
         assert triggers["per:age"][0] == "born"
         assert triggers["per:age"][1].template == \
             ("<ENTITY>", "is", "<FILLER>", "years", "old")
+
+    def test_triggers_report_bad_template_location(self, tmp_path):
+        p = tmp_path / "triggers.tsv"
+        p.write_text("per:age\tborn\n\nper:age\t<ENTITY> is * <FILLER>\n")
+        with pytest.raises(ValueError) as err:
+            load_triggers(p)
+        assert str(err.value) == (
+            f"{p}: line 3: bad wildcard bound * (want *1..*5): "
+            "<ENTITY> is * <FILLER>")
