@@ -42,7 +42,6 @@ class Pattern:
     and its three ``runs``: before the first placeholder (reversed, so it
     reads outward from the span), between the placeholders, and after the
     second.  A run holds lowered literals and, for each ``*k``, the int k."""
-    slot: str
     template: tuple[str, ...]
     entity_first: bool = field(init=False, repr=False, compare=False)
     runs: tuple[tuple, tuple, tuple] = field(init=False, repr=False,
@@ -88,7 +87,7 @@ def load_patterns(path: str | Path) -> dict[str, list[Pattern]]:
                 continue
             slot, template = parts
             try:
-                pattern = Pattern(slot, tuple(template.split()))
+                pattern = Pattern(tuple(template.split()))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
             patterns.setdefault(slot, []).append(pattern)

@@ -2,7 +2,9 @@
 
 Documents arrive as JSON Lines records with exactly the keys ``id``, ``genre``
 ("news" or "forum") and ``text``.  Forum documents get quote spans removed and
-mixed-case tokens normalized; news documents pass through unchanged.
+mixed-case tokens normalized; news documents pass through unchanged.  A
+document keeps only its id and its sentences' words: the genre and the raw
+text shape ingest and are not stored.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ def _load_abbreviations() -> tuple[str, ...]:
 ABBREVIATIONS = frozenset(a.lower() for a in _load_abbreviations())
 
 _QUOTE_TAG_RE = re.compile(r"</?quote>")
-_WORD_RE = re.compile(r"\S+")
 _CLOSERS = "\"')]}”’"
 # a sentence-final mark with its closers, then whitespace (the end of the
 # text ends a sentence anyway)
@@ -45,21 +46,17 @@ _POSSESSIVE = frozenset(("'s", "'S"))
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """One sentence as parallel columns: token ``texts``, their lowercase
-    forms (``lower[i] is texts[i]`` when the word is lowercase already) and
-    the character offsets of each token in the document's raw text."""
+    """One sentence as two parallel columns: token ``texts`` and their
+    lowercase forms (``lower[i] is texts[i]`` when the word is lowercase
+    already)."""
     index: int
     texts: tuple[str, ...]
     lower: tuple[str, ...]
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Document:
     id: str
-    genre: str
-    raw_text: str
     sentences: tuple[Sentence, ...]
 
 
@@ -81,26 +78,19 @@ class DocumentStore:
     def get(self, doc_id: str) -> Document:
         return self._docs[doc_id]
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
-
     def __len__(self) -> int:
         return len(self._docs)
 
     def __iter__(self):
         return iter(self._docs.values())
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self._docs.keys())
 
-
-def strip_quote_spans(text: str) -> tuple[str, list[int], list[str]]:
+def strip_quote_spans(text: str) -> tuple[str, list[str]]:
     """Remove ``<quote>...</quote>`` spans (nested pairs included).
 
-    Returns the cleaned text, a map from cleaned-text index to original index,
-    and any warnings.  An unclosed ``<quote>`` drops everything from the tag to
-    the end of the text; an orphan ``</quote>`` is dropped by itself.
+    Returns the cleaned text and any warnings.  An unclosed ``<quote>`` drops
+    everything from the tag to the end of the text; an orphan ``</quote>`` is
+    dropped by itself.
     """
     kept_spans: list[tuple[int, int]] = []
     warnings: list[str] = []
@@ -124,13 +114,7 @@ def strip_quote_spans(text: str) -> tuple[str, list[int], list[str]]:
         warnings.append("unclosed <quote> tag; dropped through end of document")
     else:
         kept_spans.append((segment_start, len(text)))
-
-    pieces = []
-    char_map: list[int] = []
-    for start, end in kept_spans:
-        pieces.append(text[start:end])
-        char_map.extend(range(start, end))
-    return "".join(pieces), char_map, warnings
+    return "".join(text[start:end] for start, end in kept_spans), warnings
 
 
 def normalize_case(token_text: str) -> str:
@@ -184,51 +168,32 @@ def _trim(text: str, start: int, end: int) -> tuple[int, int]:
     return start, end
 
 
-def tokenize(text: str, pos: int = 0, endpos: int | None = None,
-             ) -> tuple[list[str], list[int], list[int]]:
-    """Tokenise ``text[pos:endpos]``: split at whitespace, then peel leading
-    and trailing punctuation and split a possessive "'s".  Hyphenated words
-    and dotted abbreviations stay whole.
-
-    Returns the token words and their start and end offsets into ``text``.
-    """
+def tokenize(text: str) -> list[str]:
+    """Split at whitespace, then peel leading and trailing punctuation and
+    split a possessive "'s".  Hyphenated words and dotted abbreviations stay
+    whole."""
     words: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for m in _WORD_RE.finditer(text, pos, len(text) if endpos is None else endpos):
-        start, end = m.span()
-        word = text[start:end]
+    for word in text.split():
         if word[0] not in _PUNCT and word[-1] not in _PUNCT \
                 and word[-2:] not in _POSSESSIVE:
             # the common case: the whole word is one token
             words.append(word)
-            starts.append(start)
-            ends.append(end)
             continue
-        while end - start > 1 and text[start] in _PUNCT:
-            words.append(text[start])
-            starts.append(start)
-            ends.append(start + 1)
+        start, end = 0, len(word)
+        while end - start > 1 and word[start] in _PUNCT:
+            words.append(word[start])
             start += 1
-        trailing = end
-        while end - start > 1 and text[end - 1] in _PUNCT:
+        while end - start > 1 and word[end - 1] in _PUNCT:
             # keep a final period that closes an internal-dot abbreviation
-            if text[end - 1] == "." and "." in text[start:end - 1]:
+            if word[end - 1] == "." and "." in word[start:end - 1]:
                 break
             end -= 1
-        if end - start > 2 and text[end - 2:end] in _POSSESSIVE:
-            words += (text[start:end - 2], text[end - 2:end])
-            starts += (start, end - 2)
-            ends += (end - 2, end)
+        if end - start > 2 and word[end - 2:end] in _POSSESSIVE:
+            words += (word[start:end - 2], word[end - 2:end])
         else:
-            words.append(text[start:end])
-            starts.append(start)
-            ends.append(end)
-        for i in range(end, trailing):
-            words.append(text[i])
-            starts.append(i)
-            ends.append(i + 1)
-    return words, starts, ends
+            words.append(word[start:end])
+        words.extend(word[end:])
+    return words
 
 
 def make_document(doc_id: str, genre: str, text: str) -> Document:
@@ -240,7 +205,7 @@ def make_document(doc_id: str, genre: str, text: str) -> Document:
 
     forum = genre == "forum"
     if forum:
-        clean, char_map, warnings = strip_quote_spans(text)
+        clean, warnings = strip_quote_spans(text)
         for w in warnings:
             log.warning("%s: %s", doc_id, w)
     else:
@@ -249,15 +214,12 @@ def make_document(doc_id: str, genre: str, text: str) -> Document:
     sentences = []
     for span_start, span_end in split_sentences(clean, genre):
         # a trimmed span starts with a word, so it has a token
-        words, starts, ends = tokenize(clean, span_start, span_end)
+        words = tokenize(clean[span_start:span_end])
         if forum:
             words = [normalize_case(w) for w in words]
-            starts = [char_map[s] for s in starts]
-            ends = [char_map[e - 1] + 1 for e in ends]
         lower = [l if l != w else w for w, l in zip(words, map(str.lower, words))]
-        sentences.append(Sentence(len(sentences), tuple(words), tuple(lower),
-                                  tuple(starts), tuple(ends)))
-    return Document(doc_id, genre, text, tuple(sentences))
+        sentences.append(Sentence(len(sentences), tuple(words), tuple(lower)))
+    return Document(doc_id, tuple(sentences))
 
 
 def ingest_documents(path: str | Path) -> DocumentStore:

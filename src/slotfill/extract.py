@@ -157,7 +157,7 @@ class Gazetteers:
                         line = line.strip()
                         if not line or line.startswith("#"):
                             continue
-                        toks = tuple(w.lower() for w in tokenize(line)[0])
+                        toks = tuple(w.lower() for w in tokenize(line))
                         if toks:
                             items.add(toks)
             entries[ne_type] = items

@@ -32,7 +32,6 @@ _ENTITY_FOLLOW_WINDOW = 3
 
 @dataclass(frozen=True)
 class Mention:
-    doc_id: str
     sentence_index: int
     token_start: int
     token_end: int
@@ -53,11 +52,8 @@ class ChainMention:
     mention_class: str
 
 
-@dataclass
-class CorefChain:
-    doc_id: str
-    chain_id: str
-    mentions: list[ChainMention]
+# one chain: its mentions in resource order
+CorefChain = tuple[ChainMention, ...]
 
 
 def load_coref_resource(path: str | Path) -> dict[str, list[CorefChain]]:
@@ -102,7 +98,7 @@ def load_coref_resource(path: str | Path) -> dict[str, list[CorefChain]]:
             log.warning("chain %s/%s has %d mention(s), dropped",
                         doc_id, chain_id, len(ms))
             continue
-        chains.setdefault(doc_id, []).append(CorefChain(doc_id, chain_id, ms))
+        chains.setdefault(doc_id, []).append(tuple(ms))
     return chains
 
 
@@ -178,7 +174,7 @@ def lowered_name(name: str) -> str:
     """A name as mention finding matches it: its tokens joined by single
     spaces and lowercased ("" when it has no token)."""
     from .corpus import tokenize
-    return " ".join(tokenize(name)[0]).lower()
+    return " ".join(tokenize(name)).lower()
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def find_name_mentions(doc: Document, names: list[str]) -> list[Mention]:
                     if prev is None \
                             or _KIND_PRIORITY[kind] < _KIND_PRIORITY[prev.kind]:
                         found[span] = Mention(
-                            doc.id, sent.index, i, i + width,
+                            sent.index, i, i + width,
                             " ".join(sent.texts[i:i + width]), kind)
     return sorted(found.values(), key=lambda m: m.span)
 
@@ -264,11 +260,11 @@ def attach_coref_mentions(doc: Document, chains: list[CorefChain],
     for chain in chains:
         adopted = any(
             _overlaps(cm, s.sentence_index, s.token_start, s.token_end)
-            for cm in chain.mentions for s in seed
+            for cm in chain for s in seed
         )
         if not adopted:
             continue
-        for cm in chain.mentions:
+        for cm in chain:
             span = (cm.sentence_index, cm.token_start, cm.token_end)
             if span in seed_spans or span in added:
                 continue
@@ -278,7 +274,7 @@ def attach_coref_mentions(doc: Document, chains: list[CorefChain],
             if cm.token_end > len(sent.texts):
                 continue
             surface = " ".join(sent.texts[cm.token_start:cm.token_end])
-            added[span] = Mention(doc.id, cm.sentence_index, cm.token_start,
+            added[span] = Mention(cm.sentence_index, cm.token_start,
                                   cm.token_end, surface, "coref")
     return sorted(added.values(), key=lambda m: m.span)
 
@@ -329,7 +325,7 @@ def nominal_anaphora_heuristic(doc: Document, seed_mentions: list[Mention],
         if key in existing:
             continue
         existing.add(key)
-        out.append(Mention(doc.id, nxt, start, end,
+        out.append(Mention(nxt, start, end,
                            " ".join(texts[start:end]), "nominal_heuristic"))
     return out
 
@@ -356,11 +352,11 @@ def expand_person_fillers(doc: Document, chains: list[CorefChain],
     """
     sent, start, end = span
     for chain in chains:
-        hit = next((cm for cm in chain.mentions
+        hit = next((cm for cm in chain
                     if _overlaps(cm, sent, start, end)), None)
         if hit is None:
             continue
-        propers = [cm for cm in chain.mentions if cm.mention_class == "proper"]
+        propers = [cm for cm in chain if cm.mention_class == "proper"]
         if not propers:
             return None if is_pronoun else surface
         if hit.mention_class == "proper" and (hit.token_start, hit.token_end) == (start, end):

@@ -513,24 +513,10 @@ def score_output(answers: list[Answer], gold: list[tuple[str, int, str, str]],
 
 def load_queries(path: str | Path) -> list[SlotQuery]:
     """JSON Lines {id, name, type, slot, hop, next_slot?}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON "
-                                 f"({exc.msg}: column {exc.colno})") from None
-            for key in ("id", "name", "type", "slot"):
-                if key not in rec:
-                    raise ValueError(f"{path}: line {line_no}: missing field "
-                                     f"{key!r}")
-            out.append(SlotQuery(rec["id"], rec["name"], rec["type"],
-                                 rec["slot"], int(rec.get("hop", 0)),
-                                 rec.get("next_slot")))
-    return out
+    fields = ("id", "name", "type", "slot")
+    return [SlotQuery(rec["id"], rec["name"], rec["type"], rec["slot"],
+                      int(rec.get("hop", 0)), rec.get("next_slot"))
+            for _, rec in resources.read_jsonl(path, fields)]
 
 
 def write_answers(answers: list[Answer], path: str | Path) -> None:
@@ -558,13 +544,22 @@ def read_answers(path: str | Path) -> list[Answer]:
 
 
 def load_gold(path: str | Path) -> list[tuple[str, int, str, str]]:
-    """TSV query_id, hop, slot, filler."""
+    """TSV query_id, hop, slot, filler; a short line or a non-integer hop
+    raises ValueError naming the file and line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            qid, hop, slot, filler = line.split("\t")[:4]
-            out.append((qid, int(hop), slot, filler))
+            fields = line.split("\t")
+            if len(fields) < 4:
+                raise ValueError(f"{path}: line {line_no}: expected 4 "
+                                 f"tab-separated fields, got {len(fields)}")
+            qid, hop, slot, filler = fields[:4]
+            try:
+                out.append((qid, int(hop), slot, filler))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: hop {hop!r} is "
+                                 f"not an integer") from None
     return out

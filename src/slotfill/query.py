@@ -8,13 +8,14 @@ IR alias (lowest edit distance to the query name) is used for retrieval.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+from .resources import read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -23,7 +24,7 @@ ORG_SUFFIXES = ("Corp", "Co", "Inc")
 MIN_ALIAS_LENGTH = 2
 LINK_MARGIN = 0.05
 
-_WORD_RE = re.compile(r"\w+")
+_TERM_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -144,26 +145,22 @@ def select_ir_alias(name: str, aliases: list[str]) -> str | None:
 
 
 def load_kb(path: str | Path) -> list[KBEntry]:
-    """JSON Lines ``{id, name, aliases, description}`` -> KB entries."""
+    """JSON Lines ``{id, name, aliases, description}`` -> KB entries; a bad
+    record raises ValueError naming the file and line."""
     entries: list[KBEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            terms = term_bag(rec.get("description", ""))
-            if not terms:
-                log.warning("%s: line %d: empty description, entry skipped",
-                            path, line_no)
-                continue
-            entries.append(KBEntry(rec["id"], rec["name"],
-                                   list(rec.get("aliases", [])), terms))
+    for line_no, rec in read_jsonl(path, ("id", "name")):
+        terms = term_bag(rec.get("description", ""))
+        if not terms:
+            log.warning("%s: line %d: empty description, entry skipped",
+                        path, line_no)
+            continue
+        entries.append(KBEntry(rec["id"], rec["name"],
+                               list(rec.get("aliases", [])), terms))
     return entries
 
 
 def term_bag(text: str) -> Counter:
-    return Counter(w.lower() for w in _WORD_RE.findall(text))
+    return Counter(w.lower() for w in _TERM_RE.findall(text))
 
 
 def kb_name_candidates(name: str, kb: list[KBEntry]) -> list[KBEntry]:

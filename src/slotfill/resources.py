@@ -1,9 +1,11 @@
 """Accessors for the bundled data resources (slot table, gazetteers,
-patterns, triggers, alias table, KB, location maps, interpolation weights)."""
+patterns, triggers, alias table, KB, location maps, interpolation weights),
+and the JSON Lines reader that the query, KB and example loaders share."""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -11,6 +13,28 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def data_path(*parts: str) -> Path:
     return DATA_DIR.joinpath(*parts)
+
+
+def read_jsonl(path: str | Path, fields: tuple[str, ...],
+               ) -> Iterator[tuple[int, dict]]:
+    """Each record of a JSON Lines file with its line number, blank lines
+    skipped.  A line that is not valid JSON or lacks one of ``fields``
+    raises ValueError naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON "
+                                 f"({exc.msg}: column {exc.colno})") from None
+            for key in fields:
+                if key not in rec:
+                    raise ValueError(f"{path}: line {line_no}: missing field "
+                                     f"{key!r}")
+            yield line_no, rec
 
 
 def default_slot_configs():

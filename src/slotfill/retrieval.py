@@ -24,7 +24,7 @@ _PUNCT = string.punctuation
 
 def text_terms(text: str) -> list[str]:
     """Lowercased index terms of a piece of text (punctuation-only dropped)."""
-    return [w.lower() for w in tokenize(text)[0] if w.strip(_PUNCT)]
+    return [w.lower() for w in tokenize(text) if w.strip(_PUNCT)]
 
 
 class InvertedIndex:
@@ -73,12 +73,14 @@ def build_index(store: DocumentStore) -> InvertedIndex:
 
 
 def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
-    """Okapi BM25 with the nonnegative (+1 inside the log) idf variant."""
+    """Okapi BM25 with the nonnegative (+1 inside the log) idf variant,
+    summed over the distinct terms in query order, so the float sum does not
+    depend on the hash seed."""
     n = index.doc_count
     avgdl = index.avg_doc_length
     dl = index.doc_lengths.get(doc_id, 0)
     score = 0.0
-    for term in set(terms):
+    for term in dict.fromkeys(terms):
         posting = index.postings.get(term, {})
         tf = posting.get(doc_id, 0)
         if tf == 0:

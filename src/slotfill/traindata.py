@@ -9,7 +9,6 @@ matches the prediction at high confidence, retraining between batches.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,6 +27,7 @@ from .classify import (
 )
 from .corpus import DocumentStore, tokenize
 from .extract import Gazetteers, SlotConfig, split_contexts, tag_entities
+from .resources import read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -70,24 +70,14 @@ def load_kb_instances(path: str | Path) -> list[RelationInstance]:
 
 
 def load_examples(path: str | Path) -> list[LabeledExample]:
-    """JSON Lines ``{left, middle, right, entity_first, label, slot}``."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(LabeledExample(
-                left=tuple(rec["left"]),
-                middle=tuple(rec["middle"]),
-                right=tuple(rec["right"]),
-                entity_first=bool(rec["entity_first"]),
-                label=int(rec["label"]),
-                slot=rec["slot"],
-                origin=rec.get("origin", "seed"),
-            ))
-    return out
+    """JSON Lines ``{left, middle, right, entity_first, label, slot}``; a bad
+    record raises ValueError naming the file and line."""
+    fields = ("left", "middle", "right", "entity_first", "label", "slot")
+    return [LabeledExample(tuple(rec["left"]), tuple(rec["middle"]),
+                           tuple(rec["right"]), bool(rec["entity_first"]),
+                           int(rec["label"]), rec["slot"],
+                           rec.get("origin", "seed"))
+            for _, rec in read_jsonl(path, fields)]
 
 
 def load_triggers(path: str | Path) -> dict[str, list]:
@@ -105,7 +95,7 @@ def load_triggers(path: str | Path) -> dict[str, list]:
             slot, trigger = parts
             if ENTITY_SLOT in trigger or FILLER_SLOT in trigger:
                 try:
-                    pattern = Pattern(slot, tuple(trigger.split()))
+                    pattern = Pattern(tuple(trigger.split()))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {line_no}: {exc}") from None
                 triggers.setdefault(slot, []).append(pattern)
@@ -115,7 +105,7 @@ def load_triggers(path: str | Path) -> dict[str, list]:
 
 
 def _surface_tokens(surface: str) -> tuple[str, ...]:
-    return tuple(w.lower() for w in tokenize(surface)[0])
+    return tuple(w.lower() for w in tokenize(surface))
 
 
 def _find_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...],

@@ -47,16 +47,16 @@ def example_from_sentence(tokens, entity_span, filler_span):
 class TestPatternParsing:
     def test_requires_both_placeholders(self):
         with pytest.raises(ValueError):
-            Pattern("s", ("<ENTITY>", "alone"))
+            Pattern(("<ENTITY>", "alone"))
 
     def test_wildcard_bound_enforced(self):
         with pytest.raises(ValueError):
-            Pattern("s", ("<ENTITY>", "*9", "<FILLER>"))
+            Pattern(("<ENTITY>", "*9", "<FILLER>"))
 
     @pytest.mark.parametrize("tok", ["*x", "*", "*0", "*6"])
     def test_bad_wildcard_bound_named(self, tok):
         with pytest.raises(ValueError, match=r"bad wildcard bound \*"):
-            Pattern("s", ("<ENTITY>", tok, "<FILLER>"))
+            Pattern(("<ENTITY>", tok, "<FILLER>"))
 
     def test_load(self, tmp_path):
         p = tmp_path / "patterns.tsv"
@@ -79,7 +79,7 @@ class TestMatchPatterns:
     def test_literal_match(self):
         ex = example_from_sentence(
             ["Obama", "was", "born", "in", "Hawaii"], (0, 1), (4, 5))
-        pattern = Pattern("s", tuple("<ENTITY> was born in <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> was born in <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 1.0
 
     def test_wildcard_backtracking(self):
@@ -87,25 +87,25 @@ class TestMatchPatterns:
         # "X , who was born near Y" with skips of 3 and 1
         tokens = "X , who was born near Y".split()
         ex = example_from_sentence(tokens, (0, 1), (6, 7))
-        pattern = Pattern("s", tuple("<ENTITY> *3 born *3 <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> *3 born *3 <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 1.0
 
     def test_no_match(self):
         ex = example_from_sentence(["A", "met", "B"], (0, 1), (2, 3))
-        pattern = Pattern("s", tuple("<ENTITY> was born in <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> was born in <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 0.0
 
     def test_position_independent(self):
         base = "Obama was born in Hawaii".split()
         prefixed = "Yesterday we learned that".split() + base
         ex = example_from_sentence(prefixed, (4, 5), (8, 9))
-        pattern = Pattern("s", tuple("<ENTITY> was born in <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> was born in <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 1.0
 
     def test_case_insensitive_literals(self):
         ex = example_from_sentence(
             ["Obama", "WAS", "BORN", "IN", "Hawaii"], (0, 1), (4, 5))
-        pattern = Pattern("s", tuple("<ENTITY> was born in <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> was born in <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 1.0
 
     def test_swapped_roles(self):
@@ -113,14 +113,14 @@ class TestMatchPatterns:
         # an inverse-slot candidate has the school as its entity
         tokens = "John studied at Yale".split()
         ex = example_from_sentence(tokens, (3, 4), (0, 1))  # entity=Yale
-        pattern = Pattern("s", tuple("<ENTITY> studied at <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> studied at <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 0.0
         assert match_patterns(classifier_view(ex, True), [pattern]) == 1.0
 
     def test_wildcard_can_match_zero_tokens(self):
         tokens = "X born Y".split()
         ex = example_from_sentence(tokens, (0, 1), (2, 3))
-        pattern = Pattern("s", tuple("<ENTITY> *2 born *2 <FILLER>".split()))
+        pattern = Pattern(tuple("<ENTITY> *2 born *2 <FILLER>".split()))
         assert match_patterns(ex, [pattern]) == 1.0
 
 

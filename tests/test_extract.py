@@ -77,10 +77,6 @@ class TestTagEntities:
         assert tag_entities(s, gaz) == tag_entities(s, gaz)
 
 
-def mention_at(doc_id, sent, start, end, surface):
-    return Mention(doc_id, sent, start, end, surface, "exact")
-
-
 class TestSplitContexts:
     def test_definitional(self):
         toks = ["a", "b", "E", "c", "d", "F", "g"]
@@ -152,10 +148,10 @@ class TestCandidatesForSlot:
     def test_pronoun_filler_via_chain(self, gaz, slots):
         doc = make_document("d1", "news",
                             "John Smith is here. He went to the University of Munich.")
-        chain = CorefChain("d1", "c1", [
+        chain = CorefChain((
             ChainMention(0, 0, 2, "John Smith", "proper"),
             ChainMention(1, 0, 1, "He", "pronoun"),
-        ])
+        ))
         org_mentions = find_name_mentions(doc, ["University of Munich"])
         spans = tag_entities(doc.sentences[1], gaz)
         cands = candidates_for_slot(doc, 1, org_mentions, slots["org:students"],
@@ -185,7 +181,7 @@ class TestCandidatesForSlot:
 
 
 def make_candidate(entity_surface, filler_surface, filler_type):
-    mention = Mention("d1", 0, 0, 1, entity_surface, "exact")
+    mention = Mention(0, 0, 1, entity_surface, "exact")
     span = NESpan(0, 2, 3, filler_type, filler_surface)
     return Candidate("d1", mention, span, (), ("x",), (), True, filler_surface)
 
@@ -211,7 +207,7 @@ class TestFilterImpossible:
     def test_filler_equal_to_entity(self, slots, validation):
         c = make_candidate("John Smith", "John Smith", "PER")
         c = Candidate("d1",
-                      Mention("d1", 0, 0, 2, "John Smith", "exact"),
+                      Mention(0, 0, 2, "John Smith", "exact"),
                       NESpan(0, 5, 7, "PER", "john smith"), (), ("and",), (),
                       True, "john smith")
         assert not filter_impossible(c, slots["per:spouse"], validation)

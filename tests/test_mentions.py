@@ -33,7 +33,7 @@ class TestLoadCorefResource:
         chains = load_coref_resource(p)
         assert list(chains) == ["d1"]
         assert len(chains["d1"]) == 1
-        assert len(chains["d1"][0].mentions) == 3
+        assert len(chains["d1"][0]) == 3
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "coref.tsv"
@@ -48,7 +48,7 @@ class TestLoadCorefResource:
             "d1\tc1\t1\t0\t1\tpronoun\the\n"
         )
         chains = load_coref_resource(p)
-        assert len(chains["d1"][0].mentions) == 2
+        assert len(chains["d1"][0]) == 2
 
     def test_single_mention_chain_dropped(self, tmp_path):
         p = tmp_path / "coref.tsv"
@@ -119,9 +119,8 @@ def reference_name_mentions(doc, names, max_norm_dist=0.2):
                 prev = found.get(span)
                 if prev is None or MENTION_KINDS.index(kind) \
                         < MENTION_KINDS.index(prev.kind):
-                    found[span] = (doc.id, sent.index, i, i + width,
-                                   surface, kind)
-    return sorted(found.values(), key=lambda m: m[1:4])
+                    found[span] = (sent.index, i, i + width, surface, kind)
+    return sorted(found.values(), key=lambda m: m[:3])
 
 
 def near_miss(rng: random.Random, name: str, edits: int) -> str:
@@ -164,8 +163,8 @@ class TestFindNameMentionsOracle:
                 else:
                     words.append(rng.choice(fillers))
             doc = doc_from(" ".join(words), doc_id=f"d{trial}")
-            got = [(m.doc_id, m.sentence_index, m.token_start, m.token_end,
-                    m.surface, m.kind)
+            got = [(m.sentence_index, m.token_start, m.token_end, m.surface,
+                    m.kind)
                    for m in find_name_mentions(doc, names)]
             assert got == reference_name_mentions(doc, names)
 
@@ -197,8 +196,8 @@ class TestFindNameMentionsOracle:
                     parts, at_boundary=rng.random() < 0.5)
                 words += [near, rng.choice(["met", "the", "said", "."])]
             doc = doc_from(" ".join(words), doc_id=f"w{trial}")
-            got = [(m.doc_id, m.sentence_index, m.token_start, m.token_end,
-                    m.surface, m.kind)
+            got = [(m.sentence_index, m.token_start, m.token_end, m.surface,
+                    m.kind)
                    for m in find_name_mentions(doc, names)]
             assert got == reference_name_mentions(doc, names)
             fuzzy += sum(m[-1] == "fuzzy" for m in got)
@@ -229,16 +228,15 @@ def spread_near_miss(rng: random.Random, name: str, insertions: int,
     return "".join(chars)
 
 
-def chain(doc_id, *mentions):
-    return CorefChain(doc_id, "c1", [ChainMention(*m) for m in mentions])
+def chain(*mentions):
+    return CorefChain(ChainMention(*m) for m in mentions)
 
 
 class TestAttachCoref:
     def test_chain_contributes_all_other_mentions(self):
         doc = doc_from("Barack Obama arrived. He spoke. The president left.")
         seed = find_name_mentions(doc, ["Barack Obama"])
-        ch = chain("d1",
-                   (0, 0, 2, "Barack Obama", "proper"),
+        ch = chain((0, 0, 2, "Barack Obama", "proper"),
                    (1, 0, 1, "He", "pronoun"),
                    (2, 0, 2, "The president", "nominal"))
         new = attach_coref_mentions(doc, [ch], seed)
@@ -249,15 +247,14 @@ class TestAttachCoref:
     def test_disjoint_chain_contributes_nothing(self):
         doc = doc_from("Barack Obama arrived. She left.")
         seed = find_name_mentions(doc, ["Barack Obama"])
-        ch = chain("d1", (1, 0, 1, "She", "pronoun"), (1, 1, 2, "left", "proper"))
+        ch = chain((1, 0, 1, "She", "pronoun"), (1, 1, 2, "left", "proper"))
         assert attach_coref_mentions(doc, [ch], seed) == []
 
     def test_chain_overlapping_two_seeds_added_once(self):
         doc = doc_from("Barack Obama met Barack Obama. He spoke.")
         seed = find_name_mentions(doc, ["Barack Obama"])
         assert len(seed) == 2
-        ch = chain("d1",
-                   (0, 0, 2, "Barack Obama", "proper"),
+        ch = chain((0, 0, 2, "Barack Obama", "proper"),
                    (0, 3, 5, "Barack Obama", "proper"),
                    (1, 0, 1, "He", "pronoun"))
         new = attach_coref_mentions(doc, [ch], seed)
@@ -266,8 +263,7 @@ class TestAttachCoref:
     def test_out_of_bounds_chain_mentions_dropped(self):
         doc = doc_from("Barack Obama arrived.")
         seed = find_name_mentions(doc, ["Barack Obama"])
-        ch = chain("d1",
-                   (0, 0, 2, "Barack Obama", "proper"),
+        ch = chain((0, 0, 2, "Barack Obama", "proper"),
                    (5, 0, 1, "He", "pronoun"),
                    (0, 2, 99, "arrived!!!", "nominal"))
         assert attach_coref_mentions(doc, [ch], seed) == []
@@ -283,7 +279,7 @@ class TestAttachCoref:
                 a = rng.randint(0, 10)
                 b = a + rng.randint(1, 10)
                 ms.append(ChainMention(s, a, b, "x", "pronoun"))
-            new = attach_coref_mentions(doc, [CorefChain("d1", "c", ms)], seed)
+            new = attach_coref_mentions(doc, [CorefChain(ms)], seed)
             for m in new:
                 assert m.sentence_index < len(doc.sentences)
                 sent = doc.sentences[m.sentence_index]
@@ -335,7 +331,7 @@ class TestNominalHeuristic:
 class TestExpandPersonFillers:
     def test_pronoun_resolves_to_proper_name(self):
         doc = doc_from("John Smith is here. He went to University of Munich.")
-        ch = chain("d1", (0, 0, 2, "John Smith", "proper"), (1, 0, 1, "He", "pronoun"))
+        ch = chain((0, 0, 2, "John Smith", "proper"), (1, 0, 1, "He", "pronoun"))
         got = expand_person_fillers(doc, [ch], (1, 0, 1), "He", is_pronoun=True)
         assert got == "John Smith"
 
@@ -345,7 +341,7 @@ class TestExpandPersonFillers:
 
     def test_proper_name_unchanged(self):
         doc = doc_from("John Smith is here. He left.")
-        ch = chain("d1", (0, 0, 2, "John Smith", "proper"), (1, 0, 1, "He", "pronoun"))
+        ch = chain((0, 0, 2, "John Smith", "proper"), (1, 0, 1, "He", "pronoun"))
         got = expand_person_fillers(doc, [ch], (0, 0, 2), "John Smith")
         assert got == "John Smith"
 
@@ -359,7 +355,7 @@ class TestMonotonicity:
     def test_pipeline_growth(self):
         doc = doc_from("Barack Obama arrived. He spoke. The 44-year-old left.")
         seed = find_name_mentions(doc, ["Barack Obama"])
-        ch = chain("d1", (0, 0, 2, "Barack Obama", "proper"), (1, 0, 1, "He", "pronoun"))
+        ch = chain((0, 0, 2, "Barack Obama", "proper"), (1, 0, 1, "He", "pronoun"))
         coref = attach_coref_mentions(doc, [ch], seed)
         with_coref = merge_mentions(seed, coref)
         heur = nominal_anaphora_heuristic(doc, with_coref)

@@ -690,6 +690,24 @@ class TestLoadQueries:
             load_queries(path)
 
 
+class TestLoadGold:
+    def test_short_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("# query hop slot filler\n"
+                        "q1\t0\tper:age\t42\n"
+                        "q2\t0\tper:age\n")
+        with pytest.raises(ValueError, match=r"gold\.tsv: line 3: expected 4 "
+                                             r"tab-separated fields, got 3$"):
+            load_gold(path)
+
+    def test_bad_hop_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("q1\tzero\tper:age\t42\n")
+        with pytest.raises(ValueError, match=r"gold\.tsv: line 1: hop 'zero' "
+                                             r"is not an integer$"):
+            load_gold(path)
+
+
 class TestQuotePreprocessingEndToEnd:
     def test_quoted_birth_claim_is_invisible(self, system_state, queries):
         # doc_quote claims a Hamburg birth inside a <quote> block; quote

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cnn_oracle
 import pattern_oracle
+import token_oracle
 from slotfill.classify import (
     ENTITY_SLOT,
     FILLER_SLOT,
@@ -159,40 +160,17 @@ class TestQuoteStripping:
     @given(safe_text, safe_text, safe_text)
     def test_removal_and_map(self, pre, inner, post):
         text = f"{pre}<quote>{inner}</quote>{post}"
-        clean, char_map, _ = strip_quote_spans(text)
+        clean, _ = strip_quote_spans(text)
         assert clean == pre + post
+        oracle_clean, char_map, _ = token_oracle.strip_quote_spans(text)
+        assert oracle_clean == clean
         assert all(text[char_map[i]] == clean[i] for i in range(len(clean)))
 
     @given(safe_text)
     def test_idempotent_without_tags(self, text):
-        clean, _, warnings = strip_quote_spans(text)
+        clean, warnings = strip_quote_spans(text)
         assert clean == text
         assert warnings == []
-
-
-class TestTokenizer:
-    @given(safe_text)
-    def test_offsets_match_slices(self, text):
-        for word, start, end in zip(*tokenize(text)):
-            assert text[start:end] == word
-
-    @given(safe_text)
-    def test_tokens_cover_non_whitespace(self, text):
-        covered = set()
-        _, starts, ends = tokenize(text)
-        for start, end in zip(starts, ends):
-            covered.update(range(start, end))
-        for i, ch in enumerate(text):
-            if not ch.isspace():
-                assert i in covered
-
-    @given(safe_text)
-    def test_document_token_spans_nested(self, text):
-        doc = make_document("d", "news", text)
-        for sent in doc.sentences:
-            assert sent.texts
-            for start, end in zip(sent.starts, sent.ends):
-                assert 0 <= start < end <= len(text)
 
 
 # pieces that reach every branch of sentence splitting and tokenisation
@@ -202,11 +180,23 @@ _PIECES = [" ", "  ", "\n", "\t", "Dr.", "dr.", "U.S.", "the U.S.",
            "-", "word", "Word", "sErVice", "NASA", "\u0130", "\u0130stanbul",
            "\u03a3", "\u0391\u03a3", "\u03a3\u0391\u03a3", "\u03c3\u03c2",
            "\u00df", "STRA\u00dfE", "stra\u00dfe", "<quote>", "</quote>",
-           "<quote><quote>", "</quote></quote>"]
+           "<quote><quote>", "</quote></quote>"] \
+    + [c for c in map(chr, range(0x3001)) if c.isspace()]  # all 29 of them
 documents = st.lists(
     st.one_of(st.sampled_from(_PIECES),
               st.text(alphabet="aZ\u0130\u03a3\u00df.'s!? \n<>/", max_size=6)),
     max_size=40).map("".join)
+
+
+class TestTokenizer:
+    @given(documents)
+    @example("a\x1cb\u3000c's\u2029(d)\x85")
+    def test_words_match_token_oracle(self, text):
+        assert tokenize(text) == [t.text for t in token_oracle.tokenize(text)]
+
+    @given(documents)
+    def test_tokens_cover_non_whitespace(self, text):
+        assert "".join(tokenize(text)) == "".join(text.split())
 
 
 class TestColumnarSentences:
@@ -224,8 +214,6 @@ class TestColumnarSentences:
         assert [s.index for s in doc.sentences] == list(range(len(oracle)))
         for sent, toks in zip(doc.sentences, oracle, strict=True):
             assert sent.texts == tuple(t.text for t in toks)
-            assert sent.starts == tuple(t.char_start for t in toks)
-            assert sent.ends == tuple(t.char_end for t in toks)
             for word, low in zip(sent.texts, sent.lower, strict=True):
                 assert low == word.lower()
                 assert (low is word) == (low == word)
@@ -333,7 +321,7 @@ def pattern_cases(draw):
     up to k tokens), with random tokens around and any argument order."""
     before, between, after = (draw(pattern_runs) for _ in range(3))
     first, second = draw(st.permutations([ENTITY_SLOT, FILLER_SLOT]))
-    pattern = Pattern("s", tuple(before + [first] + between + [second] + after))
+    pattern = Pattern(tuple(before + [first] + between + [second] + after))
 
     def fill(run):
         out = []
@@ -362,10 +350,10 @@ class TestPatternOracle:
 
     @settings(max_examples=500)
     @given(pattern_cases())
-    @example((Pattern("s", ("<ENTITY>", "<FILLER>")),
+    @example((Pattern(("<ENTITY>", "<FILLER>")),
               SpanExample((), (), (), True, ("a",), ("b",)), False))
-    @example((Pattern("s", ("at", "*2", "in", "<FILLER>", "born",
-                            "<ENTITY>", "*1", "in")),
+    @example((Pattern(("at", "*2", "in", "<FILLER>", "born",
+                       "<ENTITY>", "*1", "in")),
               SpanExample(("x", "AT", "zzz", "In"), ("BORN",), ("y", "in"),
                           True, ("a",), ("b", "c")), True))
     def test_view_match_equals_sentence_scan(self, case):

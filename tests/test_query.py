@@ -14,6 +14,7 @@ from slotfill.query import (
     kb_name_candidates,
     levenshtein,
     link_entity,
+    load_kb,
     select_ir_alias,
     term_bag,
     tfidf_cosine,
@@ -213,3 +214,17 @@ class TestDocumentGate:
         docs = [term_bag(" ".join(rng.choices(vocab, k=5))) for _ in range(20)]
         kept = [d for d in docs if gate(d, target, kb, "Apple")]
         assert len(kept) <= len(docs)
+
+
+class TestLoadKB:
+    def test_bad_record_names_file_and_line(self, tmp_path):
+        p = tmp_path / "kb.jsonl"
+        p.write_text('{"id": "e1", "name": "Apple", "description": "fruit"}\n'
+                     '{"id": "e2", "name": "Orange", "description": "tele\n')
+        with pytest.raises(ValueError, match=r"kb\.jsonl: line 2: invalid "
+                                             r"JSON \(Unterminated string"):
+            load_kb(p)
+        p.write_text('{"id": "e1", "description": "fruit"}\n')
+        with pytest.raises(ValueError, match=r"kb\.jsonl: line 1: missing "
+                                             r"field 'name'$"):
+            load_kb(p)

@@ -1,11 +1,16 @@
 """Inverted index and BM25 retrieval against brute-force oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import slotfill
 from slotfill.corpus import DocumentStore, make_document
 from slotfill.retrieval import (
     BM25_B,
@@ -141,7 +146,7 @@ def oracle_ranking(texts: dict[str, str], terms: list[str],
     for doc_id in brute_force_docs(texts, terms, mode):
         dl = sum(counts[doc_id].values())
         score = 0.0
-        for term in set(terms):
+        for term in dict.fromkeys(terms):
             tf = counts[doc_id][term]
             if tf == 0:
                 continue
@@ -173,6 +178,34 @@ class TestBM25Oracle:
         for query, mode in ((query_and, "and"), (query_or, "or")):
             assert query(index, ["w0", "w1"]) == []
             assert oracle_ranking({}, ["w0", "w1"], mode) == []
+
+
+# every document's score for 200 four-term queries over 300 documents
+_SCORES_SCRIPT = """
+import hashlib, random
+from slotfill.retrieval import bm25_score, build_index
+from test_retrieval import random_corpus, store_from
+rng = random.Random(5)
+index = build_index(store_from(random_corpus(rng, 300)))
+digest = hashlib.sha256()
+for _ in range(200):
+    terms = rng.choices([f"w{i}" for i in range(30)], k=4)
+    for doc_id in sorted(index.doc_lengths):
+        digest.update(bm25_score(index, terms, doc_id).hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_scores_independent_of_hash_seed():
+    path = os.pathsep.join((str(Path(slotfill.__file__).parents[1]),
+                            str(Path(__file__).parent)))
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        digests.add(subprocess.run(
+            [sys.executable, "-c", _SCORES_SCRIPT], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 class TestRetrieveForEntity:

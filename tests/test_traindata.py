@@ -259,6 +259,20 @@ class TestExampleIO:
         save_examples(examples, p)
         assert load_examples(p) == examples
 
+    def test_bad_example_names_file_and_line(self, tmp_path):
+        p = tmp_path / "examples.jsonl"
+        p.write_text('{"left": [], "middle": ["b"], "right": [], '
+                     '"entity_first": true, "label": 1, "slot": "per:age"}\n'
+                     '{"left": [], "middle": ["b"], '
+                     '"entity_first": true, "label": 1, "slot": "per:age"}\n')
+        with pytest.raises(ValueError, match=r"examples\.jsonl: line 2: "
+                                             r"missing field 'right'$"):
+            load_examples(p)
+        p.write_text('\n{"left": [\n')
+        with pytest.raises(ValueError, match=r"examples\.jsonl: line 2: "
+                                             r"invalid JSON \("):
+            load_examples(p)
+
     def test_kb_instances(self, tmp_path):
         p = tmp_path / "kb.tsv"
         p.write_text("Karl Braun\tper:location_of_birth\tDresden\nbad line\n")

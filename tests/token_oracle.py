@@ -1,7 +1,7 @@
-"""Slow reference for tokenisation: one frozen record per token, built from
-per-character scans.  Tests use it as the oracle for
-``slotfill.corpus.make_document``'s columnar sentences.  It also holds
-``preprocess_genre``, which only tests call."""
+"""Slow reference for tokenisation: one frozen record per token, with its
+character offsets into the original text, built from per-character scans.
+Tests use it as the oracle for ``slotfill.corpus.tokenize``,
+``strip_quote_spans`` and ``make_document``'s columnar sentences."""
 
 from __future__ import annotations
 
@@ -9,17 +9,50 @@ import re
 import string
 from dataclasses import dataclass
 
-from slotfill.corpus import (
-    ABBREVIATIONS,
-    Document,
-    make_document,
-    normalize_case,
-    strip_quote_spans,
-)
+from slotfill.corpus import ABBREVIATIONS, normalize_case
 
 _PUNCT = set(string.punctuation)
 _SENT_END = set(".!?")
 _CLOSERS = set("\"')]}”’")
+_QUOTE_TAG_RE = re.compile(r"</?quote>")
+
+
+def strip_quote_spans(text: str) -> tuple[str, list[int], list[str]]:
+    """Remove ``<quote>...</quote>`` spans (nested pairs included).
+
+    Returns the cleaned text, a map from cleaned-text index to original index,
+    and any warnings.  An unclosed ``<quote>`` drops everything from the tag to
+    the end of the text; an orphan ``</quote>`` is dropped by itself.
+    """
+    kept_spans: list[tuple[int, int]] = []
+    warnings: list[str] = []
+    depth = 0
+    segment_start = 0
+    for m in _QUOTE_TAG_RE.finditer(text):
+        if m.group() == "<quote>":
+            if depth == 0:
+                kept_spans.append((segment_start, m.start()))
+            depth += 1
+        else:
+            if depth == 0:
+                warnings.append(f"orphan </quote> at offset {m.start()}")
+                kept_spans.append((segment_start, m.start()))
+                segment_start = m.end()
+            else:
+                depth -= 1
+                if depth == 0:
+                    segment_start = m.end()
+    if depth > 0:
+        warnings.append("unclosed <quote> tag; dropped through end of document")
+    else:
+        kept_spans.append((segment_start, len(text)))
+
+    pieces = []
+    char_map: list[int] = []
+    for start, end in kept_spans:
+        pieces.append(text[start:end])
+        char_map.extend(range(start, end))
+    return "".join(pieces), char_map, warnings
 
 
 def split_sentences(text: str, genre: str = "news") -> list[tuple[int, int]]:
@@ -124,10 +157,3 @@ def document_tokens(genre: str, text: str) -> list[list[Token]]:
             sentences.append(toks)
     return sentences
 
-
-def preprocess_genre(doc: Document) -> Document:
-    """Re-run genre preprocessing.  News documents come back byte-identical;
-    the operation is idempotent for forum documents."""
-    if doc.genre == "news":
-        return doc
-    return make_document(doc.id, doc.genre, doc.raw_text)
