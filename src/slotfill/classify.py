@@ -161,7 +161,9 @@ def featurize(example, bits: int = DEFAULT_HASH_BITS) -> dict[int, float]:
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray
+    """A linear model over hashed features: ``weights`` maps the index of
+    each nonzero weight to its value; every other weight is zero."""
+    weights: dict[int, float]
     bias: float
     feature_hash_bits: int = DEFAULT_HASH_BITS
 
@@ -179,8 +181,9 @@ class SVMConfig:
 
 
 def svm_margin(model: LinearModel, example) -> float:
+    weights = model.weights
     features = featurize(example, model.feature_hash_bits)
-    return float(sum(model.weights[i] * v for i, v in features.items())
+    return float(sum(weights.get(i, 0.0) * v for i, v in features.items())
                  + model.bias)
 
 
@@ -201,31 +204,36 @@ def svm_score(model: LinearModel, example) -> float:
 
 def svm_train(dataset: list[tuple[object, int]],
               config: SVMConfig | None = None) -> LinearModel:
-    """Hinge loss + L2 via SGD, deterministic by seed."""
+    """Hinge loss + L2 via SGD over a dense weight array, deterministic by
+    seed; the model keeps the nonzero weights."""
     if not dataset:
         raise ValueError("dataset must be nonempty")
     config = config or SVMConfig()
     rng = np.random.default_rng(config.seed)
-    model = LinearModel(np.zeros(1 << config.hash_bits), 0.0, config.hash_bits)
+    weights = np.zeros(1 << config.hash_bits)
+    bias = 0.0
     featurized = [(featurize(ex, config.hash_bits), 1 if label else -1)
                   for ex, label in dataset]
     for _ in range(config.epochs):
         for i in rng.permutation(len(featurized)):
             features, y = featurized[i]
-            margin = sum(model.weights[j] * v for j, v in features.items()) \
-                + model.bias
-            model.weights *= (1.0 - SVM_LEARNING_RATE * SVM_L2)
+            margin = sum(weights[j] * v for j, v in features.items()) + bias
+            weights *= (1.0 - SVM_LEARNING_RATE * SVM_L2)
             if y * margin < 1.0:
                 for j, v in features.items():
-                    model.weights[j] += SVM_LEARNING_RATE * y * v
-                model.bias += SVM_LEARNING_RATE * y
-    return model
+                    weights[j] += SVM_LEARNING_RATE * y * v
+                bias += SVM_LEARNING_RATE * y
+    nonzero = np.flatnonzero(weights)
+    return LinearModel(dict(zip(nonzero.tolist(), weights[nonzero].tolist())),
+                       bias, config.hash_bits)
 
 
 def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
-    """Sparse: the indices and values of the nonzero weights only."""
-    indices = np.flatnonzero(model.weights)
-    np.savez(path, indices=indices, values=model.weights[indices],
+    """Sparse: the indices (ascending) and values of the nonzero weights."""
+    indices = sorted(i for i, w in model.weights.items() if w)
+    np.savez(path, indices=np.array(indices, dtype=np.int64),
+             values=np.array([model.weights[i] for i in indices],
+                             dtype=np.float64),
              bias=np.array([model.bias]),
              bits=np.array([model.feature_hash_bits]),
              slot=np.frombuffer(slot.encode("utf-8"), dtype=np.uint8))
@@ -236,9 +244,9 @@ def load_svm(path: str | Path) -> LinearModel:
         if "indices" not in data.files:
             raise ValueError(f"{path}: not a sparse SVM model file (older "
                              "dense layout?); retrain the model")
-        weights = np.zeros(1 << int(data["bits"][0]))
-        weights[data["indices"]] = data["values"]
-        return LinearModel(weights, float(data["bias"][0]), int(data["bits"][0]))
+        return LinearModel(dict(zip(data["indices"].tolist(),
+                                    data["values"].tolist())),
+                           float(data["bias"][0]), int(data["bits"][0]))
 
 
 def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float:

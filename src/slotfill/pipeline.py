@@ -13,6 +13,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,7 @@ from .postprocess import (
     rank_and_truncate,
 )
 from .query import (
+    ENTITY_TYPES,
     SlotQuery,
     clean_aliases,
     document_matches_entity,
@@ -187,21 +190,21 @@ def classifier_scores(models: ModelRegistry, canonical: str, views,
 
 
 # entities the memo holds before all its dicts are cleared: an entity with
-# 100 retrieved documents holds about 27 KB of seed mentions, collected
-# mentions and tagged sentences, so the memo stays near 7 MB
+# 100 retrieved documents holds about 27 KB of seed mentions, extraction
+# sites and tagged sentences, so the memo stays near 7 MB
 MEMO_ENTITIES = 256
 
 
 @dataclass
 class SystemState:
-    """Resources shared by all queries of a run, read-only once the first
-    query ran, plus the memo those queries fill: ``entities`` maps
-    ``(entity_name, entity_type)`` to its retrieved documents paired with
-    their seed name mentions, ``collected`` maps ``((entity_name,
-    entity_type), coref_enabled)`` to ``{doc_id: mentions}``, the mentions
-    extraction reads (the seed plus coref and nominal-heuristic ones), and
-    ``tags`` maps ``(doc_id, sentence_index)`` to the sentence's NE spans.
-    All start empty; the mentions and spans are tuples."""
+    """Resources shared by all queries of a run, the KB among them, which
+    are read-only once the first query ran, plus the memo those queries
+    fill: ``entities`` maps ``(entity_name, entity_type)`` to its retrieved
+    documents paired with their seed name mentions, ``sites`` maps
+    ``((entity_name, entity_type), entity_linking, coref_enabled)`` to the
+    entity's extraction sites (see ``_sites``), and ``tags`` maps
+    ``(doc_id, sentence_index)`` to the sentence's NE spans.  All start
+    empty; the mentions and spans are tuples."""
     store: DocumentStore
     index: InvertedIndex
     slot_configs: dict
@@ -217,7 +220,7 @@ class SystemState:
     models: ModelRegistry = field(default_factory=ModelRegistry)
     entities: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
-    collected: dict = field(default_factory=dict)
+    sites: dict = field(default_factory=dict)
 
 
 def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
@@ -279,33 +282,40 @@ def _exact_name_mentions(seed: list, name: str) -> list:
     return [m for m in seed if m.kind == "exact" and m.surface.lower() == target]
 
 
-def _collect_mentions(state: SystemState, entity: tuple, doc, seed,
-                      cfg: RunConfig) -> tuple:
-    """The seed name mentions, plus coref chains and the nominal heuristic
-    when coreference is enabled, memoised per entity, document and
-    ``cfg.coref_enabled``; the seed tuple itself when nothing is added."""
-    memo = state.collected.setdefault((entity, cfg.coref_enabled), {})
-    collected = memo.get(doc.id)
-    if collected is not None:
-        return collected
-    collected = seed
-    if cfg.coref_enabled:
-        chains = state.coref.get(doc.id, [])
-        merged = merge_mentions(seed, attach_coref_mentions(doc, chains, seed))
-        if merged:
-            blocked: dict[int, set[int]] = {}
-            for t in {m.sentence_index + 1 for m in merged}:
-                if t < len(doc.sentences):
-                    spans = _tagged(state, doc, t)
-                    blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
-                                  for i in range(s.token_start, s.token_end)}
-            heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
-            merged = merge_mentions(merged, heuristic)
-        # merging keeps every seed span, so equal lengths mean no addition
-        if len(merged) > len(seed):
-            collected = tuple(merged)
-    memo[doc.id] = collected
-    return collected
+def _gated(state: SystemState, name: str, seeded: tuple) -> tuple:
+    """Run 4's entity-linking gate: link ``name`` to one of its KB entries
+    by the context of its exact mentions, then keep the documents whose
+    mention context does not favour another of those entries."""
+    context: Counter = Counter()
+    for doc, seed in seeded:
+        context.update(_context_bag(doc, _exact_name_mentions(seed, name)))
+    kb_entries = kb_name_candidates(name, state.kb)
+    idf = kb_idf(state.kb)
+    target = link_entity(kb_entries, idf, context)
+    if target is None:
+        return seeded
+    return tuple((doc, seed) for doc, seed in seeded
+                 if document_matches_entity(_context_bag(doc, seed), target,
+                                            kb_entries, idf))
+
+
+def _collect_mentions(state: SystemState, doc, seed: tuple,
+                      chains: list) -> tuple:
+    """The seed name mentions plus the ones of the document's coref
+    ``chains`` and the nominal heuristic; the seed tuple itself when
+    nothing is added."""
+    merged = merge_mentions(seed, attach_coref_mentions(doc, chains, seed))
+    if merged:
+        blocked: dict[int, set[int]] = {}
+        for t in {m.sentence_index + 1 for m in merged}:
+            if t < len(doc.sentences):
+                spans = _tagged(state, doc, t)
+                blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
+                              for i in range(s.token_start, s.token_end)}
+        heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
+        merged = merge_mentions(merged, heuristic)
+    # merging keeps every seed span, so equal lengths mean no addition
+    return tuple(merged) if len(merged) > len(seed) else seed
 
 
 def _tagged(state: SystemState, doc, sentence_index: int) -> tuple:
@@ -326,7 +336,7 @@ def _seeded(state: SystemState, query: SlotQuery) -> tuple:
         if len(state.entities) >= MEMO_ENTITIES:
             state.entities.clear()
             state.tags.clear()
-            state.collected.clear()
+            state.sites.clear()
         raw_aliases = state.alias_table.get(query.entity_name, [])
         aliases = clean_aliases(query.entity_name, raw_aliases,
                                 query.entity_type, state.nicknames)
@@ -338,6 +348,41 @@ def _seeded(state: SystemState, query: SlotQuery) -> tuple:
             (doc, tuple(find_name_mentions(doc, names)))
             for doc in map(state.store.get, doc_ids))
     return seeded
+
+
+def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
+    """The query entity's extraction sites under ``cfg``'s linking and
+    coreference settings, memoised: one ``(doc, sentence_index, mentions,
+    spans, chains)`` per sentence holding an entity mention in a document
+    the gate keeps, in retrieval then sentence order.  ``mentions`` are the
+    sentence's (the seed plus, with coreference, the coref and heuristic
+    ones), ``spans`` its NE spans and ``chains`` the document's coref
+    chains, empty without coreference.  Only the slot-specific work is left
+    to each query."""
+    key = ((query.entity_name, query.entity_type), cfg.entity_linking,
+           cfg.coref_enabled)
+    sites = state.sites.get(key)
+    if sites is not None:
+        return sites
+    seeded = _seeded(state, query)
+    if cfg.entity_linking and seeded:
+        seeded = _gated(state, query.entity_name, seeded)
+    found = []
+    for doc, seed in seeded:
+        mentions, chains = seed, []
+        if cfg.coref_enabled:
+            chains = state.coref.get(doc.id, [])
+            mentions = _collect_mentions(state, doc, seed, chains)
+        # mentions are sorted by span, so each sentence's form one run; a
+        # document with one such sentence shares its mentions tuple
+        for sentence_index, here in groupby(
+                mentions, key=attrgetter("sentence_index")):
+            here = tuple(here)
+            found.append((doc, sentence_index,
+                          mentions if len(here) == len(mentions) else here,
+                          _tagged(state, doc, sentence_index), chains))
+    sites = state.sites[key] = tuple(found)
+    return sites
 
 
 def _score_candidates(state: SystemState, cfg: RunConfig, candidates: list,
@@ -385,42 +430,21 @@ def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
 
 def extract_candidates(state: SystemState, query: SlotQuery,
                        cfg: RunConfig) -> list:
-    """The pre-classification pipeline stages: alias expansion, retrieval
-    and the seed mention pass (memoised per entity on ``state``), the
-    optional entity-linking gate, coreference (memoised per entity and
-    document), and extraction."""
+    """The pre-classification pipeline stages: the entity's extraction
+    sites (alias expansion, retrieval, mention finding, the optional
+    entity-linking gate, coreference and tagging, memoised per entity on
+    ``state``), then the slot's candidates at each site, impossible fillers
+    dropped."""
     slot_cfg = state.slot_configs.get(query.slot)
     if slot_cfg is None:
         raise ValueError(f"unknown slot {query.slot!r}")
-
-    seeded = _seeded(state, query)
-    if cfg.entity_linking and seeded:
-        context: Counter = Counter()
-        for doc, seed in seeded:
-            context.update(_context_bag(
-                doc, _exact_name_mentions(seed, query.entity_name)))
-        kb_entries = kb_name_candidates(query.entity_name, state.kb)
-        idf = kb_idf(state.kb)
-        target = link_entity(kb_entries, idf, context)
-        if target is not None:
-            seeded = [(doc, seed) for doc, seed in seeded
-                      if document_matches_entity(_context_bag(doc, seed),
-                                                 target, kb_entries, idf)]
-
-    entity = (query.entity_name, query.entity_type)
     candidates = []
-    for doc, seed in seeded:
-        mentions = _collect_mentions(state, entity, doc, seed, cfg)
-        if not mentions:
-            continue
-        chains = state.coref.get(doc.id, []) if cfg.coref_enabled else []
-        for sentence_index in sorted({m.sentence_index for m in mentions}):
-            spans = _tagged(state, doc, sentence_index)
-            found = candidates_for_slot(doc, sentence_index, mentions, slot_cfg,
-                                        spans, chains=chains)
-            candidates.extend(
-                c for c in found
-                if filter_impossible(c, slot_cfg, state.validation))
+    for doc, sentence_index, mentions, spans, chains in _sites(state, query,
+                                                               cfg):
+        found = candidates_for_slot(doc, sentence_index, mentions, slot_cfg,
+                                    spans, chains=chains)
+        candidates.extend(c for c in found
+                          if filter_impossible(c, slot_cfg, state.validation))
     return candidates
 
 
@@ -511,12 +535,23 @@ def score_output(answers: list[Answer], gold: list[tuple[str, int, str, str]],
 # file formats
 
 
+_QUERY_CHECKS = {
+    "id": resources.STRING, "name": resources.STRING,
+    "type": (" or ".join(ENTITY_TYPES), lambda v: v in ENTITY_TYPES),
+    "slot": resources.STRING,
+    "hop": resources.ZERO_OR_ONE,
+    "next_slot": ("a string or null", lambda v: v is None or type(v) is str),
+}
+
+
 def load_queries(path: str | Path) -> list[SlotQuery]:
-    """JSON Lines {id, name, type, slot, hop, next_slot?}."""
+    """JSON Lines {id, name, type, slot, hop, next_slot?}; a bad record, or
+    a value of the wrong type, raises ValueError naming the file and
+    line."""
     fields = ("id", "name", "type", "slot")
     return [SlotQuery(rec["id"], rec["name"], rec["type"], rec["slot"],
-                      int(rec.get("hop", 0)), rec.get("next_slot"))
-            for _, rec in resources.read_jsonl(path, fields)]
+                      rec.get("hop", 0), rec.get("next_slot"))
+            for _, rec in resources.read_jsonl(path, fields, _QUERY_CHECKS)]
 
 
 def write_answers(answers: list[Answer], path: str | Path) -> None:
@@ -530,16 +565,35 @@ def write_answers(answers: list[Answer], path: str | Path) -> None:
                      f"{a.doc_id}\t{a.score:.4f}\n")
 
 
+def _number(path, line_no: int, name: str, text: str, kind: type):
+    """``text`` read as ``kind`` (int or float); a ValueError naming the
+    file and line if it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: line {line_no}: {name} {text!r} is not "
+                         f"{what}") from None
+
+
 def read_answers(path: str | Path) -> list[Answer]:
+    """TSV as ``write_answers`` writes it; a line without 6 fields, a
+    non-integer hop or a score that is not a number raises ValueError
+    naming the file and line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            qid, hop, slot, filler, doc_id, score = line.split("\t")
-            out.append(Answer(qid, int(hop), slot, filler, doc_id, "",
-                              float(score)))
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise ValueError(f"{path}: line {line_no}: expected 6 "
+                                 f"tab-separated fields, got {len(fields)}")
+            qid, hop, slot, filler, doc_id, score = fields
+            out.append(Answer(qid, _number(path, line_no, "hop", hop, int),
+                              slot, filler, doc_id, "",
+                              _number(path, line_no, "score", score, float)))
     return out
 
 
@@ -557,9 +611,6 @@ def load_gold(path: str | Path) -> list[tuple[str, int, str, str]]:
                 raise ValueError(f"{path}: line {line_no}: expected 4 "
                                  f"tab-separated fields, got {len(fields)}")
             qid, hop, slot, filler = fields[:4]
-            try:
-                out.append((qid, int(hop), slot, filler))
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: hop {hop!r} is "
-                                 f"not an integer") from None
+            out.append((qid, _number(path, line_no, "hop", hop, int), slot,
+                        filler))
     return out

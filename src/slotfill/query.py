@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .resources import read_jsonl
+from .resources import STRING, STRINGS, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -144,11 +144,16 @@ def select_ir_alias(name: str, aliases: list[str]) -> str | None:
     return min(candidates, key=lambda a: (levenshtein(name, a), a))
 
 
+_KB_CHECKS = {"id": STRING, "name": STRING, "aliases": STRINGS,
+              "description": STRING}
+
+
 def load_kb(path: str | Path) -> list[KBEntry]:
     """JSON Lines ``{id, name, aliases, description}`` -> KB entries; a bad
-    record raises ValueError naming the file and line."""
+    record, or a value of the wrong type, raises ValueError naming the file
+    and line."""
     entries: list[KBEntry] = []
-    for line_no, rec in read_jsonl(path, ("id", "name")):
+    for line_no, rec in read_jsonl(path, ("id", "name"), _KB_CHECKS):
         terms = term_bag(rec.get("description", ""))
         if not terms:
             log.warning("%s: line %d: empty description, entry skipped",

@@ -15,11 +15,19 @@ def data_path(*parts: str) -> Path:
     return DATA_DIR.joinpath(*parts)
 
 
+# value checks of ``read_jsonl``: what the field must hold, and the test
+STRING = ("a string", lambda v: type(v) is str)
+STRINGS = ("a list of strings",
+           lambda v: type(v) is list and all(type(w) is str for w in v))
+ZERO_OR_ONE = ("0 or 1", lambda v: type(v) is int and v in (0, 1))
+
+
 def read_jsonl(path: str | Path, fields: tuple[str, ...],
-               ) -> Iterator[tuple[int, dict]]:
+               checks: dict) -> Iterator[tuple[int, dict]]:
     """Each record of a JSON Lines file with its line number, blank lines
-    skipped.  A line that is not valid JSON or lacks one of ``fields``
-    raises ValueError naming the file and line."""
+    skipped.  A line that is not valid JSON, lacks one of ``fields``, or
+    holds a field whose value fails its ``checks[field] = (want, ok)``
+    (``ok(value)`` is false) raises ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip()
@@ -34,6 +42,10 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...],
                 if key not in rec:
                     raise ValueError(f"{path}: line {line_no}: missing field "
                                      f"{key!r}")
+            for key, (want, ok) in checks.items():
+                if key in rec and not ok(rec[key]):
+                    raise ValueError(f"{path}: line {line_no}: field {key!r} "
+                                     f"must be {want}, got {rec[key]!r}")
             yield line_no, rec
 
 

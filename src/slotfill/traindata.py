@@ -27,7 +27,7 @@ from .classify import (
 )
 from .corpus import DocumentStore, tokenize
 from .extract import Gazetteers, SlotConfig, split_contexts, tag_entities
-from .resources import read_jsonl
+from .resources import STRING, STRINGS, ZERO_OR_ONE, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -69,15 +69,23 @@ def load_kb_instances(path: str | Path) -> list[RelationInstance]:
     return out
 
 
+_EXAMPLE_CHECKS = {
+    "left": STRINGS, "middle": STRINGS, "right": STRINGS,
+    "entity_first": ("true or false", lambda v: type(v) is bool),
+    "label": ZERO_OR_ONE,
+    "slot": STRING,
+}
+
+
 def load_examples(path: str | Path) -> list[LabeledExample]:
     """JSON Lines ``{left, middle, right, entity_first, label, slot}``; a bad
-    record raises ValueError naming the file and line."""
-    fields = ("left", "middle", "right", "entity_first", "label", "slot")
+    record, or a value of the wrong type, raises ValueError naming the file
+    and line."""
     return [LabeledExample(tuple(rec["left"]), tuple(rec["middle"]),
-                           tuple(rec["right"]), bool(rec["entity_first"]),
-                           int(rec["label"]), rec["slot"],
-                           rec.get("origin", "seed"))
-            for _, rec in read_jsonl(path, fields)]
+                           tuple(rec["right"]), rec["entity_first"],
+                           rec["label"], rec["slot"], rec.get("origin", "seed"))
+            for _, rec in read_jsonl(path, tuple(_EXAMPLE_CHECKS),
+                                     _EXAMPLE_CHECKS)]
 
 
 def load_triggers(path: str | Path) -> dict[str, list]:

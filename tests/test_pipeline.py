@@ -18,6 +18,7 @@ from slotfill.pipeline import (
     load_gold,
     load_queries,
     load_system,
+    read_answers,
     run_cold_start,
     run_queries,
     run_query,
@@ -417,7 +418,7 @@ class TestOneMentionPass:
     def test_gate_inputs_computed_once_per_query(self, load_fixture_system,
                                                  queries, monkeypatch):
         from slotfill import pipeline
-        from slotfill.query import KBEntry, kb_idf, kb_name_candidates, term_bag
+        from slotfill.query import kb_idf, kb_name_candidates
 
         calls, idf_calls = [], []
 
@@ -433,13 +434,7 @@ class TestOneMentionPass:
         real_gate, real_idf = pipeline.document_matches_entity, pipeline.kb_idf
         monkeypatch.setattr(pipeline, "document_matches_entity", gate)
         monkeypatch.setattr(pipeline, "kb_idf", idf_once)
-        state = load_fixture_system()
-        # homonyms, so that the gate compares contexts and drops some docs
-        state.kb = state.kb + [
-            KBEntry("kb_steve_miller_2", "Steve Miller", [],
-                    term_bag("raised germany hamburg guitar")),
-            KBEntry("kb_acme_2", "Acme Corp", [],
-                    term_bag("cartoon anvil percent grew"))]
+        state = with_homonyms(load_fixture_system())
         decisions = Counter()
         for query in queries:
             calls.clear()
@@ -486,6 +481,19 @@ class TestOneMentionPass:
 GPE_QUERY = SlotQuery("qg", "Steve Miller", "GPE", "per:cities_of_residence")
 MEMO_RUNS = [(run_id, coref) for run_id in (1, 2, 4, 5)
              for coref in (True, False)]
+
+
+def with_homonyms(state):
+    """``state`` with KB homonyms of two fixture entities, so that run 4's
+    gate compares contexts and drops some documents."""
+    from slotfill.query import KBEntry, term_bag
+
+    state.kb = state.kb + [
+        KBEntry("kb_steve_miller_2", "Steve Miller", [],
+                term_bag("raised germany hamburg guitar")),
+        KBEntry("kb_acme_2", "Acme Corp", [],
+                term_bag("cartoon anvil percent grew"))]
+    return state
 
 
 def _count_memoised_work(state, monkeypatch):
@@ -568,36 +576,39 @@ class TestSharedMemo:
         assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, _ in seeded}
 
 
-def _count_collecting(monkeypatch) -> Counter:
-    """Calls of the coref attachment and the nominal heuristic, counted
-    through wrappers of ``pipeline``'s names."""
+COLLECTING = ("attach_coref_mentions", "nominal_anaphora_heuristic")
+LINKING = ("kb_name_candidates", "kb_idf", "link_entity",
+           "document_matches_entity")
+
+
+def _count_calls(monkeypatch, names=COLLECTING) -> Counter:
+    """Calls of each of ``pipeline``'s ``names`` (by default the coref
+    attachment and the nominal heuristic), counted through wrappers."""
     from slotfill import pipeline
 
     calls: Counter = Counter()
-    real_attach = pipeline.attach_coref_mentions
-    real_nominal = pipeline.nominal_anaphora_heuristic
 
-    def attach(*args, **kwargs):
-        calls["attach_coref_mentions"] += 1
-        return real_attach(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    def nominal(*args, **kwargs):
-        calls["nominal_anaphora_heuristic"] += 1
-        return real_nominal(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "attach_coref_mentions", attach)
-    monkeypatch.setattr(pipeline, "nominal_anaphora_heuristic", nominal)
+    for name in names:
+        monkeypatch.setattr(pipeline, name,
+                            counted(name, getattr(pipeline, name)))
     return calls
 
 
 class TestCollectedMentionsMemo:
     """The mentions extraction reads (seed, coref and nominal heuristic) are
-    collected once per entity, document and coref setting."""
+    collected once per entity and coref setting, into the extraction
+    sites."""
 
     def test_second_query_of_an_entity_collects_nothing(
             self, load_fixture_system, queries, monkeypatch):
         state = load_fixture_system()
-        calls = _count_collecting(monkeypatch)
+        calls = _count_calls(monkeypatch)
         cfg = configure_run(2)
         by_entity: dict[tuple, list] = {}
         for q in queries:
@@ -631,17 +642,34 @@ class TestCollectedMentionsMemo:
         seeds = {(entity, doc.id): seed
                  for entity, seeded in state.entities.items()
                  for doc, seed in seeded}
+        # each document's mentions, one tuple per sentence that holds any
         on, off = {}, {}
-        for (entity, coref), docs in state.collected.items():
-            for doc_id, mentions in docs.items():
-                (on if coref else off)[entity, doc_id] = mentions
-        assert on.keys() == off.keys() == seeds.keys()
-        for key, seed in seeds.items():
-            # nothing added: the seed tuple itself is stored
-            assert off[key] is seed
-            assert on[key] is seed or len(on[key]) > len(seed)
-            assert type(on[key]) is tuple
-        assert any(on[key] is not seed for key, seed in seeds.items())
+        for (entity, linking, coref), sites in state.sites.items():
+            assert not linking
+            for doc, sentence_index, mentions, spans, chains in sites:
+                assert type(mentions) is tuple and mentions
+                assert {m.sentence_index for m in mentions} == {sentence_index}
+                assert spans is state.tags[doc.id, sentence_index]
+                assert chains == (state.coref.get(doc.id, []) if coref
+                                  else [])
+                (on if coref else off).setdefault(
+                    (entity, doc.id), []).append(mentions)
+        # a document is collected in both settings, and has sites when it
+        # holds a mention
+        held = {key for key, seed in seeds.items() if seed}
+        assert on.keys() == off.keys() == held
+        for key in held:
+            seed = seeds[key]
+            # nothing added: the seed's own mentions, and a seed in one
+            # sentence is the seed tuple itself
+            assert sum(off[key], ()) == seed
+            assert len(off[key]) > 1 or off[key][0] is seed
+            collected = sum(on[key], ())
+            assert collected == seed or (len(collected) > len(seed)
+                                         and set(seed) <= set(collected))
+            assert collected != seed or len(on[key]) > 1 \
+                or on[key][0] is seed
+        assert any(sum(on[key], ()) != seeds[key] for key in held)
 
     @pytest.mark.parametrize("run_id", [2, 4])
     def test_cap_clears_collected_mentions(
@@ -650,7 +678,7 @@ class TestCollectedMentionsMemo:
 
         cfg = configure_run(run_id)
         asked = queries + [GPE_QUERY]
-        calls = _count_collecting(monkeypatch)
+        calls = _count_calls(monkeypatch, COLLECTING + LINKING)
         write_answers(run_queries(load_fixture_system(), asked, cfg),
                       tmp_path / "uncapped.tsv")
         uncapped = Counter(calls)
@@ -661,11 +689,100 @@ class TestCollectedMentionsMemo:
         assert (tmp_path / "capped.tsv").read_bytes() == \
             (tmp_path / "uncapped.tsv").read_bytes()
         [entity] = state.entities
-        assert state.collected
-        assert {key for key, _ in state.collected} == {entity}
-        # an entity asked again after another one is collected again
+        assert state.sites
+        assert {key for key, _, _ in state.sites} == {entity}
+        # an entity asked again after another one is collected again, and
+        # under run 4 linked again
         assert calls["attach_coref_mentions"] \
             > uncapped["attach_coref_mentions"]
+        assert calls["kb_idf"] > uncapped["kb_idf"] if run_id == 4 \
+            else calls["kb_idf"] == 0
+
+
+class TestSitesMemo:
+    """Each entity's extraction sites, the linking gate included, are built
+    once per state and per linking and coref setting."""
+
+    @pytest.mark.parametrize("coref", [True, False])
+    def test_run4_shared_state_matches_fresh_state_per_query(
+            self, load_fixture_system, queries, coref, monkeypatch, tmp_path):
+        from slotfill import pipeline
+
+        cfg = configure_run(4, coref_enabled=coref)
+        asked = queries + [GPE_QUERY]
+        fresh = [a for q in asked
+                 for a in run_queries(with_homonyms(load_fixture_system()),
+                                      [q], cfg)]
+        kept = Counter()
+        real_gate = pipeline.document_matches_entity
+
+        def gate(*args, **kwargs):
+            keep = real_gate(*args, **kwargs)
+            kept[keep] += 1
+            return keep
+
+        monkeypatch.setattr(pipeline, "document_matches_entity", gate)
+        state = with_homonyms(load_fixture_system())
+        calls = _count_calls(monkeypatch, LINKING)
+        shared = run_queries(state, asked, cfg)
+        write_answers(fresh, tmp_path / "fresh.tsv")
+        write_answers(shared, tmp_path / "shared.tsv")
+        assert (tmp_path / "shared.tsv").read_bytes() == \
+            (tmp_path / "fresh.tsv").read_bytes()
+        assert shared and kept[True] and kept[False]
+        # the gate runs once per entity with retrieved documents
+        linked = sum(1 for seeded in state.entities.values() if seeded)
+        assert calls["kb_idf"] == calls["link_entity"] == linked
+        assert calls["document_matches_entity"] == sum(kept.values())
+        # and never again for the same state
+        calls.clear()
+        assert run_queries(state, asked, cfg) == shared
+        assert calls == Counter()
+
+    def test_second_query_of_an_entity_links_nothing(
+            self, load_fixture_system, queries, monkeypatch):
+        state = with_homonyms(load_fixture_system())
+        calls = _count_calls(monkeypatch, COLLECTING + LINKING)
+        cfg = configure_run(4)
+        seen, first_calls = set(), Counter()
+        for q in queries:
+            calls.clear()
+            run_query(state, q, cfg)
+            entity = (q.entity_name, q.entity_type)
+            if entity in seen:
+                assert calls == Counter(), q.id
+            else:
+                first_calls += calls
+            seen.add(entity)
+        assert len(seen) < len(queries)
+        assert all(first_calls[name] for name in LINKING + COLLECTING), \
+            first_calls
+
+    def test_linking_and_coref_keep_separate_entries(
+            self, load_fixture_system, queries, tmp_path):
+        asked = queries + [GPE_QUERY]
+        state = with_homonyms(load_fixture_system())
+        for run_id, coref in ((2, True), (4, True), (4, False), (2, False),
+                              (4, True), (2, True)):
+            cfg = configure_run(run_id, coref_enabled=coref)
+            write_answers(run_queries(state, asked, cfg),
+                          tmp_path / "shared.tsv")
+            write_answers(run_queries(with_homonyms(load_fixture_system()),
+                                      asked, cfg), tmp_path / "fresh.tsv")
+            assert (tmp_path / "shared.tsv").read_bytes() == \
+                (tmp_path / "fresh.tsv").read_bytes()
+        assert {(linking, coref) for _, linking, coref in state.sites} == {
+            (False, True), (True, True), (False, False), (True, False)}
+        dropped = 0
+        for (entity, linking, coref), sites in state.sites.items():
+            if not linking:
+                continue
+            ungated = state.sites[entity, False, coref]
+            # the gate only drops whole documents
+            kept = {doc.id for doc, *_ in sites}
+            assert sites == tuple(s for s in ungated if s[0].id in kept)
+            dropped += len(ungated) - len(sites)
+        assert dropped
 
 
 class TestLoadQueries:
@@ -690,6 +807,29 @@ class TestLoadQueries:
             load_queries(path)
 
 
+    @pytest.mark.parametrize("field,value,want", [
+        ("type", '"LOC"', "PER or ORG or GPE"),
+        ("hop", "2", "0 or 1"),
+        ("hop", '"1"', "0 or 1"),
+        ("hop", "0.5", "0 or 1"),
+        ("name", '["Steve", "Miller"]', "a string"),
+        ("next_slot", "7", "a string or null"),
+    ])
+    def test_bad_value_names_file_line_and_field(self, tmp_path, field,
+                                                 value, want):
+        good = {"id": '"q1"', "name": '"Steve Miller"', "type": '"PER"',
+                "slot": '"per:age"', "hop": "0"}
+        bad = {**good, field: value}
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n"
+            for rec in (good, good, bad)))
+        with pytest.raises(ValueError, match=(
+                rf"queries\.jsonl: line 3: field '{field}' must be {want}, "
+                rf"got ")):
+            load_queries(path)
+
+
 class TestLoadGold:
     def test_short_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "gold.tsv"
@@ -706,6 +846,33 @@ class TestLoadGold:
         with pytest.raises(ValueError, match=r"gold\.tsv: line 1: hop 'zero' "
                                              r"is not an integer$"):
             load_gold(path)
+
+
+class TestReadAnswers:
+    def test_round_trip(self, system_state, queries, tmp_path):
+        answers = run_queries(system_state, queries, configure_run(2))
+        assert answers
+        write_answers(answers, tmp_path / "answers.tsv")
+        read = read_answers(tmp_path / "answers.tsv")
+        assert [(a.query_id, a.hop, a.slot, a.filler, a.doc_id)
+                for a in read] == [(a.query_id, a.hop, a.slot, a.filler,
+                                    a.doc_id) for a in answers]
+        assert all(abs(r.score - a.score) <= 5e-5
+                   for r, a in zip(read, answers))
+
+    @pytest.mark.parametrize("line,error", [
+        ("q2\t0\tper:age", "expected 6 tab-separated fields, got 3"),
+        ("q2\t0\tper:age\t42\td1\t0.9\textra",
+         "expected 6 tab-separated fields, got 7"),
+        ("q2\tzero\tper:age\t42\td1\t0.9", "hop 'zero' is not an integer"),
+        ("q2\t0\tper:age\t42\td1\thigh", "score 'high' is not a number"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, error):
+        path = tmp_path / "answers.tsv"
+        path.write_text("q1\t0\tper:age\t42\td1\t0.9000\n\n" + line + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"answers\.tsv: line 3: {error}$"):
+            read_answers(path)
 
 
 class TestQuotePreprocessingEndToEnd:

@@ -1,6 +1,7 @@
 """Property tests over randomly generated inputs."""
 
 import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,15 +10,24 @@ from hypothesis import strategies as st
 
 import cnn_oracle
 import pattern_oracle
+import svm_oracle
 import token_oracle
 from slotfill.classify import (
     ENTITY_SLOT,
     FILLER_SLOT,
     MAX_WILDCARD,
+    LinearModel,
     Pattern,
+    SVMConfig,
     _hash_feature,
     combine_scores,
+    featurize,
+    load_svm,
     match_patterns,
+    save_svm,
+    svm_margin,
+    svm_score,
+    svm_train,
 )
 from slotfill.corpus import make_document, strip_quote_spans, tokenize
 from slotfill.extract import Gazetteers, split_contexts, tag_entities
@@ -360,6 +370,101 @@ class TestPatternOracle:
         pattern, ex, swapped = case
         want = pattern_oracle.match_patterns(ex, [pattern], swapped)
         assert match_patterns(classifier_view(ex, swapped), [pattern]) == want
+
+
+SVM_WORDS = ["was", "born", "in", "works", "for", "sued", "Paris", "école"]
+svm_segments = st.lists(st.sampled_from(SVM_WORDS), max_size=5).map(tuple)
+svm_views = st.builds(ClassifierView, svm_segments, svm_segments,
+                      svm_segments, st.booleans())
+# finite weights whose sums stay finite; zeros (and -0.0) are not weights
+svm_weights = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5, 2.0, 1e16, -1e16]))
+svm_biases = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -236.6, -236.5, -300.0, 300.0, -1e300, 1e300]))
+
+
+@st.composite
+def svm_cases(draw):
+    """A model as a dict of weights, some on the features of the drawn view
+    (the rest of the view's features absent from the dict), others
+    elsewhere in the hashed space, and the view."""
+    bits = draw(st.sampled_from([4, 8, 18]))
+    view = draw(svm_views)
+    own = sorted(featurize(view, bits))
+    present = draw(st.lists(st.sampled_from(own), unique=True))
+    elsewhere = draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=6))
+    weights = {i: draw(svm_weights) for i in present + elsewhere}
+    return LinearModel(weights, draw(svm_biases), bits), view
+
+
+def _cancelling_case():
+    """Weights whose sum depends on the order of addition: 1e16 + 1 - 1e16."""
+    view = ClassifierView((), ("a",), (), True)
+    first, second, third = featurize(view, 18)
+    return LinearModel({first: 1e16, second: 1.0, third: -1e16}, 0.0, 18), view
+
+
+def _saved(save, model) -> dict:
+    buf = io.BytesIO()
+    save(model, buf, slot="per:age")
+    buf.seek(0)
+    with np.load(buf) as data:
+        return {k: (data[k].dtype, data[k].shape, data[k].tobytes())
+                for k in data.files}
+
+
+class TestSVMOracle:
+    """The sparse linear model against the dense one it replaced: the same
+    trained weights, bit-identical margins and scores, byte-identical saved
+    arrays."""
+
+    @settings(max_examples=300)
+    @given(svm_cases())
+    @example((LinearModel({}, 0.0, 18), ClassifierView((), ("x",), (), True)))
+    @example((LinearModel({}, -1e300, 4), ClassifierView((), (), (), False)))
+    @example(_cancelling_case())
+    def test_scores_bit_identical_to_dense(self, case):
+        model, view = case
+        dense = svm_oracle.dense(model.weights, model.bias,
+                                 model.feature_hash_bits)
+        assert svm_margin(model, view).hex() == \
+            svm_oracle.svm_margin(dense, view).hex()
+        assert svm_score(model, view).hex() == \
+            svm_oracle.svm_score(dense, view).hex()
+
+    @settings(max_examples=100)
+    @given(svm_cases())
+    def test_saved_arrays_byte_identical_to_dense(self, case):
+        model, _ = case
+        dense = svm_oracle.dense(model.weights, model.bias,
+                                 model.feature_hash_bits)
+        assert _saved(save_svm, model) == _saved(svm_oracle.save_svm, dense)
+        buf = io.BytesIO()
+        save_svm(model, buf)
+        buf.seek(0)
+        loaded = load_svm(buf)
+        assert loaded.weights == {i: w for i, w in model.weights.items() if w}
+        assert (loaded.bias, loaded.feature_hash_bits) == \
+            (model.bias, model.feature_hash_bits)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(svm_views, st.integers(0, 1)), min_size=1,
+                    max_size=12),
+           st.sampled_from([4, 8, 18]), st.integers(1, 3), st.integers(0, 9))
+    def test_training_keeps_the_dense_nonzero_weights(self, data, bits,
+                                                      epochs, seed):
+        config = SVMConfig(epochs=epochs, seed=seed, hash_bits=bits)
+        model = svm_train(data, config)
+        dense = svm_oracle.svm_train(data, config)
+        nonzero = np.flatnonzero(dense.weights)
+        assert list(model.weights) == nonzero.tolist()
+        assert [w.hex() for w in model.weights.values()] == \
+            [float(w).hex() for w in dense.weights[nonzero]]
+        assert model.bias.hex() == float(dense.bias).hex()
+        assert model.feature_hash_bits == bits
+        assert _saved(save_svm, model) == _saved(svm_oracle.save_svm, dense)
 
 
 class TestFeatureHashMemo:

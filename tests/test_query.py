@@ -228,3 +228,23 @@ class TestLoadKB:
         with pytest.raises(ValueError, match=r"kb\.jsonl: line 1: missing "
                                              r"field 'name'$"):
             load_kb(p)
+
+    @pytest.mark.parametrize("field,value,want", [
+        ("aliases", '"Apple Inc"', "a list of strings"),
+        ("aliases", '["Apple Inc", null]', "a list of strings"),
+        ("name", "7", "a string"),
+        ("id", "null", "a string"),
+        ("description", '["fruit"]', "a string"),
+    ])
+    def test_bad_value_names_file_line_and_field(self, tmp_path, field,
+                                                 value, want):
+        good = {"id": '"e1"', "name": '"Apple"', "aliases": "[]",
+                "description": '"fruit tree"'}
+        bad = {**good, field: value}
+        p = tmp_path / "kb.jsonl"
+        p.write_text("".join(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n"
+            for rec in (good, bad)))
+        with pytest.raises(ValueError, match=(
+                rf"kb\.jsonl: line 2: field '{field}' must be {want}, got ")):
+            load_kb(p)

@@ -273,6 +273,31 @@ class TestExampleIO:
                                              r"invalid JSON \("):
             load_examples(p)
 
+    @pytest.mark.parametrize("field,value,want", [
+        ("label", '"yes"', "0 or 1"),
+        ("label", "2", "0 or 1"),
+        ("label", "true", "0 or 1"),
+        ("entity_first", '"false"', "true or false"),
+        ("entity_first", "1", "true or false"),
+        ("left", '"born in"', "a list of strings"),
+        ("middle", '["born", 3]', "a list of strings"),
+        ("right", "null", "a list of strings"),
+        ("slot", "5", "a string"),
+    ])
+    def test_bad_value_names_file_line_and_field(self, tmp_path, field,
+                                                 value, want):
+        good = {"left": "[]", "middle": '["b"]', "right": "[]",
+                "entity_first": "true", "label": "1", "slot": '"per:age"'}
+        bad = {**good, field: value}
+        p = tmp_path / "examples.jsonl"
+        p.write_text("".join(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n"
+            for rec in (good, bad)))
+        with pytest.raises(ValueError, match=(
+                rf"examples\.jsonl: line 2: field '{field}' must be {want}, "
+                rf"got ")):
+            load_examples(p)
+
     def test_kb_instances(self, tmp_path):
         p = tmp_path / "kb.tsv"
         p.write_text("Karl Braun\tper:location_of_birth\tDresden\nbad line\n")
