@@ -22,9 +22,6 @@ from .postprocess import normalize_date
 
 log = logging.getLogger(__name__)
 
-NE_TYPES = ("PER", "ORG", "GPE", "DATE", "NUMBER", "TITLE", "CHARGE",
-            "RELIGION", "URL", "CAUSE_OF_DEATH")
-
 # string-list slots tag through these gazetteer types
 STRING_LIST_TYPES = {
     "title": "TITLE",

@@ -189,22 +189,22 @@ def classifier_scores(models: ModelRegistry, canonical: str, views,
     return scores
 
 
-# entities the memo holds before all its dicts are cleared: an entity with
-# 100 retrieved documents holds about 27 KB of seed mentions, extraction
-# sites and tagged sentences, so the memo stays near 7 MB
+# extraction-site entries the memo holds before both its dicts are
+# cleared: an entity with 100 retrieved documents holds about 21 KB of
+# extraction sites and tagged sentences, so the memo stays near 5.5 MB
 MEMO_ENTITIES = 256
 
 
 @dataclass
 class SystemState:
     """Resources shared by all queries of a run, the KB among them, which
-    are read-only once the first query ran, plus the memo those queries
-    fill: ``entities`` maps ``(entity_name, entity_type)`` to its retrieved
-    documents paired with their seed name mentions, ``sites`` maps
-    ``((entity_name, entity_type), entity_linking, coref_enabled)`` to the
-    entity's extraction sites (see ``_sites``), and ``tags`` maps
-    ``(doc_id, sentence_index)`` to the sentence's NE spans.  All start
-    empty; the mentions and spans are tuples."""
+    are read-only once the first query ran, plus the two memos those
+    queries fill: ``sites`` maps ``((entity_name, entity_type),
+    entity_linking, coref_enabled)`` to the entity's extraction sites (see
+    ``_sites``), and ``tags`` maps ``(doc_id, sentence_index)`` to the
+    sentence's NE spans.  Both start empty and hold tuples.  A state that
+    serves several linking or coreference settings retrieves an entity
+    once per setting."""
     store: DocumentStore
     index: InvertedIndex
     slot_configs: dict
@@ -218,7 +218,6 @@ class SystemState:
     weights: dict
     coref: dict = field(default_factory=dict)
     models: ModelRegistry = field(default_factory=ModelRegistry)
-    entities: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
     sites: dict = field(default_factory=dict)
 
@@ -326,28 +325,17 @@ def _tagged(state: SystemState, doc, sentence_index: int) -> tuple:
     return spans
 
 
-def _seeded(state: SystemState, query: SlotQuery) -> tuple:
-    """The query entity's retrieved documents, each paired with its seed name
-    mentions (one mention pass per document serves linking, the gate and
-    extraction), memoised per entity name and type."""
-    key = (query.entity_name, query.entity_type)
-    seeded = state.entities.get(key)
-    if seeded is None:
-        if len(state.entities) >= MEMO_ENTITIES:
-            state.entities.clear()
-            state.tags.clear()
-            state.sites.clear()
-        raw_aliases = state.alias_table.get(query.entity_name, [])
-        aliases = clean_aliases(query.entity_name, raw_aliases,
-                                query.entity_type, state.nicknames)
-        ir_alias = select_ir_alias(query.entity_name, aliases)
-        doc_ids = retrieve_for_entity(state.index, query.entity_name, ir_alias,
-                                      query.entity_type)
-        names = [query.entity_name] + aliases
-        seeded = state.entities[key] = tuple(
-            (doc, tuple(find_name_mentions(doc, names)))
-            for doc in map(state.store.get, doc_ids))
-    return seeded
+def _seeded(state: SystemState, name: str, entity_type: str) -> tuple:
+    """The entity's retrieved documents, each paired with its seed name
+    mentions: one mention pass per document serves linking, the gate and
+    extraction."""
+    aliases = clean_aliases(name, state.alias_table.get(name, []),
+                            entity_type, state.nicknames)
+    doc_ids = retrieve_for_entity(state.index, name,
+                                  select_ir_alias(name, aliases), entity_type)
+    names = [name] + aliases
+    return tuple((doc, tuple(find_name_mentions(doc, names)))
+                 for doc in map(state.store.get, doc_ids))
 
 
 def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
@@ -364,7 +352,10 @@ def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
     sites = state.sites.get(key)
     if sites is not None:
         return sites
-    seeded = _seeded(state, query)
+    if len(state.sites) >= MEMO_ENTITIES:
+        state.sites.clear()
+        state.tags.clear()
+    seeded = _seeded(state, query.entity_name, query.entity_type)
     if cfg.entity_linking and seeded:
         seeded = _gated(state, query.entity_name, seeded)
     found = []
@@ -545,13 +536,19 @@ _QUERY_CHECKS = {
 
 
 def load_queries(path: str | Path) -> list[SlotQuery]:
-    """JSON Lines {id, name, type, slot, hop, next_slot?}; a bad record, or
-    a value of the wrong type, raises ValueError naming the file and
-    line."""
+    """JSON Lines {id, name, type, slot, hop, next_slot?}; a bad record, a
+    value of the wrong type or a slot missing from the bundled slot table
+    raises ValueError naming the file, line and field."""
+    slots = resources.default_slot_configs()
+    known = {"slot": ("a slot of the bundled slot table",
+                      lambda v: v in slots),
+             "next_slot": ("null or a slot of the bundled slot table",
+                           lambda v: v is None or v in slots)}
     fields = ("id", "name", "type", "slot")
     return [SlotQuery(rec["id"], rec["name"], rec["type"], rec["slot"],
                       rec.get("hop", 0), rec.get("next_slot"))
-            for _, rec in resources.read_jsonl(path, fields, _QUERY_CHECKS)]
+            for _, rec in resources.read_jsonl(path, fields, _QUERY_CHECKS,
+                                               known)]
 
 
 def write_answers(answers: list[Answer], path: str | Path) -> None:

@@ -11,7 +11,6 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 HOP1_THRESHOLD_BONUS = 0.1
-DATE_RE = re.compile(r"^\d{4}-(\d{2}|XX)-(\d{2}|XX)$")
 
 MONTHS = {
     "january": 1, "february": 2, "march": 3, "april": 4, "may": 5, "june": 6,

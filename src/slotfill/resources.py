@@ -23,11 +23,13 @@ ZERO_OR_ONE = ("0 or 1", lambda v: type(v) is int and v in (0, 1))
 
 
 def read_jsonl(path: str | Path, fields: tuple[str, ...],
-               checks: dict) -> Iterator[tuple[int, dict]]:
+               *checks: dict) -> Iterator[tuple[int, dict]]:
     """Each record of a JSON Lines file with its line number, blank lines
     skipped.  A line that is not valid JSON, lacks one of ``fields``, or
-    holds a field whose value fails its ``checks[field] = (want, ok)``
-    (``ok(value)`` is false) raises ValueError naming the file and line."""
+    holds a field whose value fails a check ``table[field] = (want, ok)``
+    (``ok(value)`` is false) raises ValueError naming the file, line and
+    field.  The ``checks`` tables run in turn, so a check may rely on the
+    ones of an earlier table."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip()
@@ -42,10 +44,12 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...],
                 if key not in rec:
                     raise ValueError(f"{path}: line {line_no}: missing field "
                                      f"{key!r}")
-            for key, (want, ok) in checks.items():
-                if key in rec and not ok(rec[key]):
-                    raise ValueError(f"{path}: line {line_no}: field {key!r} "
-                                     f"must be {want}, got {rec[key]!r}")
+            for table in checks:
+                for key, (want, ok) in table.items():
+                    if key in rec and not ok(rec[key]):
+                        raise ValueError(f"{path}: line {line_no}: field "
+                                         f"{key!r} must be {want}, got "
+                                         f"{rec[key]!r}")
             yield line_no, rec
 
 

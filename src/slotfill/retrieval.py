@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import DocumentStore, tokenize
 
@@ -42,11 +42,9 @@ class InvertedIndex:
         return list(self.postings.get(term, ()))
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     doc_id: str
     score: float
-    matched_query: str  # and_name | and_alias | or_name
 
 
 def build_index(store: DocumentStore) -> InvertedIndex:
@@ -92,10 +90,9 @@ def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
     return score
 
 
-def _ranked(index: InvertedIndex, doc_ids: set[str], terms: list[str],
-            matched_query: str) -> list[RetrievalResult]:
-    results = [RetrievalResult(d, bm25_score(index, terms, d), matched_query)
-               for d in doc_ids]
+def _ranked(index: InvertedIndex, doc_ids: set[str],
+            terms: list[str]) -> list[RetrievalResult]:
+    results = [RetrievalResult(d, bm25_score(index, terms, d)) for d in doc_ids]
     results.sort(key=lambda r: (-r.score, r.doc_id))
     return results
 
@@ -107,7 +104,7 @@ def query_and(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
     terms = [t.lower() for t in terms]
     doc_sets = [set(index.doc_ids_for(t)) for t in set(terms)]
     hits = set.intersection(*doc_sets) if doc_sets else set()
-    return _ranked(index, hits, terms, "and_name")
+    return _ranked(index, hits, terms)
 
 
 def query_or(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
@@ -118,7 +115,7 @@ def query_or(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
     hits = set()
     for t in set(terms):
         hits.update(index.doc_ids_for(t))
-    return _ranked(index, hits, terms, "or_name")
+    return _ranked(index, hits, terms)
 
 
 def retrieve_for_entity(index: InvertedIndex, name: str,
@@ -137,9 +134,7 @@ def retrieve_for_entity(index: InvertedIndex, name: str,
     if ir_alias:
         alias_terms = text_terms(ir_alias)
         if alias_terms:
-            hits = query_and(index, alias_terms)
-            tiers.append([RetrievalResult(r.doc_id, r.score, "and_alias")
-                          for r in hits])
+            tiers.append(query_and(index, alias_terms))
     if entity_type != "GPE":
         tiers.append(query_or(index, name_terms))
 

@@ -1,16 +1,22 @@
 """Code that only the tests use: the synthetic separable and label-noised
-relation datasets, writing labeled examples, the F1 of a results row and
-the finite-difference gradient checker of the networks."""
+relation datasets, writing labeled examples, the F1 of a results row, the
+form of a normalised date and the finite-difference gradient checker of the
+networks."""
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from slotfill.nnets.persist import model_from_header, model_header
 from slotfill.traindata import LabeledExample
+
+# what ``postprocess.normalize_date`` returns: YYYY-MM-DD, with XX for an
+# unknown month or day
+DATE_RE = re.compile(r"^\d{4}-(\d{2}|XX)-(\d{2}|XX)$")
 
 # ---------------------------------------------------------------------------
 # synthetic datasets: a cleanly separable relation corpus for learnability

@@ -26,7 +26,7 @@ from slotfill.pipeline import (
     run_queries,
     score_output,
 )
-from slotfill.postprocess import DATE_RE, effective_threshold, normalize_date
+from slotfill.postprocess import effective_threshold, normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_slot_configs
 from slotfill.retrieval import build_index, query_and, query_or, retrieve_for_entity, text_terms
@@ -34,6 +34,7 @@ from slotfill.corpus import DocumentStore, make_document
 from slotfill.traindata import SelectionConfig, select_training_data
 
 from helpers import (
+    DATE_RE,
     f1,
     gradient_check,
     make_noisy_selection_data,

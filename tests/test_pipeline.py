@@ -13,6 +13,7 @@ from slotfill.pipeline import (
     ModelMissingError,
     ModelRegistry,
     SystemState,
+    _seeded,
     classifier_scores,
     configure_run,
     load_gold,
@@ -550,7 +551,8 @@ class TestSharedMemo:
         assert retrieved == Counter(reached)
         assert {("Steve Miller", "PER"), ("Steve Miller", "GPE")} <= reached
         assert tagged and max(tagged.values()) == 1
-        docs = {t: [doc.id for doc, _ in state.entities["Steve Miller", t]]
+        assert {entity for entity, _, _ in state.sites} == reached
+        docs = {t: [doc.id for doc, _ in _seeded(state, "Steve Miller", t)]
                 for t in ("PER", "GPE")}
         assert set(docs["GPE"]) < set(docs["PER"])
 
@@ -571,9 +573,9 @@ class TestSharedMemo:
             (tmp_path / "uncapped.tsv").read_bytes()
         # an entity asked again after another one is retrieved again
         assert sum(retrieved.values()) > len(reached)
-        assert len(state.entities) == 1
-        [seeded] = state.entities.values()
-        assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, _ in seeded}
+        assert len(state.sites) == 1
+        [sites] = state.sites.values()
+        assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, *_ in sites}
 
 
 COLLECTING = ("attach_coref_mentions", "nominal_anaphora_heuristic")
@@ -628,9 +630,23 @@ class TestCollectedMentionsMemo:
             and first_calls["nominal_anaphora_heuristic"]
 
     def test_coref_on_and_off_keep_separate_entries(
-            self, load_fixture_system, queries, tmp_path):
+            self, load_fixture_system, queries, monkeypatch, tmp_path):
+        from slotfill import pipeline
+
         asked = queries + [GPE_QUERY]
         state = load_fixture_system()
+        # the seeded documents each coref setting's sites were built from
+        seeds = {True: {}, False: {}}
+
+        def seeded(on, name, entity_type):
+            found = real_seeded(on, name, entity_type)
+            if on is state:
+                assert (name, entity_type) not in seeds[coref]
+                seeds[coref][name, entity_type] = found
+            return found
+
+        real_seeded = pipeline._seeded
+        monkeypatch.setattr(pipeline, "_seeded", seeded)
         for coref in (True, False, True):
             cfg = configure_run(2, coref_enabled=coref)
             write_answers(run_queries(state, asked, cfg),
@@ -639,9 +655,10 @@ class TestCollectedMentionsMemo:
                           tmp_path / "fresh.tsv")
             assert (tmp_path / "shared.tsv").read_bytes() == \
                 (tmp_path / "fresh.tsv").read_bytes()
-        seeds = {(entity, doc.id): seed
-                 for entity, seeded in state.entities.items()
-                 for doc, seed in seeded}
+        # one retrieval and mention pass per entity and coref setting
+        assert seeds[True].keys() == seeds[False].keys() == {
+            entity for entity, _, _ in state.sites}
+        assert seeds[True] == seeds[False]
         # each document's mentions, one tuple per sentence that holds any
         on, off = {}, {}
         for (entity, linking, coref), sites in state.sites.items():
@@ -656,20 +673,25 @@ class TestCollectedMentionsMemo:
                     (entity, doc.id), []).append(mentions)
         # a document is collected in both settings, and has sites when it
         # holds a mention
-        held = {key for key, seed in seeds.items() if seed}
+        seed_of = {coref: {(entity, doc.id): seed
+                           for entity, seeded in by_entity.items()
+                           for doc, seed in seeded}
+                   for coref, by_entity in seeds.items()}
+        held = {key for key, seed in seed_of[False].items() if seed}
         assert on.keys() == off.keys() == held
         for key in held:
-            seed = seeds[key]
             # nothing added: the seed's own mentions, and a seed in one
             # sentence is the seed tuple itself
+            seed = seed_of[False][key]
             assert sum(off[key], ()) == seed
             assert len(off[key]) > 1 or off[key][0] is seed
+            seed = seed_of[True][key]
             collected = sum(on[key], ())
             assert collected == seed or (len(collected) > len(seed)
                                          and set(seed) <= set(collected))
             assert collected != seed or len(on[key]) > 1 \
                 or on[key][0] is seed
-        assert any(sum(on[key], ()) != seeds[key] for key in held)
+        assert any(sum(on[key], ()) != seed_of[True][key] for key in held)
 
     @pytest.mark.parametrize("run_id", [2, 4])
     def test_cap_clears_collected_mentions(
@@ -688,9 +710,8 @@ class TestCollectedMentionsMemo:
         write_answers(run_queries(state, asked, cfg), tmp_path / "capped.tsv")
         assert (tmp_path / "capped.tsv").read_bytes() == \
             (tmp_path / "uncapped.tsv").read_bytes()
-        [entity] = state.entities
-        assert state.sites
-        assert {key for key, _, _ in state.sites} == {entity}
+        [(_, linking, coref)] = state.sites
+        assert (linking, coref) == (cfg.entity_linking, True)
         # an entity asked again after another one is collected again, and
         # under run 4 linked again
         assert calls["attach_coref_mentions"] \
@@ -731,7 +752,8 @@ class TestSitesMemo:
             (tmp_path / "fresh.tsv").read_bytes()
         assert shared and kept[True] and kept[False]
         # the gate runs once per entity with retrieved documents
-        linked = sum(1 for seeded in state.entities.values() if seeded)
+        linked = sum(1 for (name, entity_type), _, _ in state.sites
+                     if _seeded(state, name, entity_type))
         assert calls["kb_idf"] == calls["link_entity"] == linked
         assert calls["document_matches_entity"] == sum(kept.values())
         # and never again for the same state
@@ -827,6 +849,21 @@ class TestLoadQueries:
         with pytest.raises(ValueError, match=(
                 rf"queries\.jsonl: line 3: field '{field}' must be {want}, "
                 rf"got ")):
+            load_queries(path)
+
+    @pytest.mark.parametrize("field,want", [
+        ("slot", "a slot of the bundled slot table"),
+        ("next_slot", "null or a slot of the bundled slot table"),
+    ])
+    def test_unknown_slot_names_file_line_and_field(self, tmp_path, field,
+                                                   want):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(json.dumps(
+            {"id": "q1", "name": "Steve Miller", "type": "PER",
+             "slot": "per:schools_attended", field: "per:nonsense"}) + "\n")
+        with pytest.raises(ValueError, match=(
+                rf"queries\.jsonl: line 1: field '{field}' must be {want}, "
+                r"got 'per:nonsense'$")):
             load_queries(path)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from slotfill.postprocess import (
     Answer,
-    DATE_RE,
     LocationMaps,
     disambiguate_location,
     effective_threshold,
@@ -16,6 +15,8 @@ from slotfill.postprocess import (
     rank_and_truncate,
 )
 from slotfill.resources import default_location_maps, default_slot_configs
+
+from helpers import DATE_RE
 
 # surface -> expected normalization (None = unparseable); the expected values
 # were written by hand from the format rules before wiring up the tests

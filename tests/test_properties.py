@@ -35,9 +35,10 @@ from slotfill.mentions import bounded_levenshtein, split_pieces
 from slotfill.nnets import CNNClassifier, EmbeddingMatrix
 from slotfill.nnets.cnn import WIDTH
 from slotfill.pipeline import ClassifierView, classifier_view
-from slotfill.postprocess import DATE_RE, normalize_date
+from slotfill.postprocess import normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_gazetteers
+from helpers import DATE_RE
 from tag_oracle import tag_entities as oracle_tag_entities
 from token_oracle import document_tokens
 

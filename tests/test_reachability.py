@@ -1,0 +1,82 @@
+"""No code in the package is reachable only from the tests: every
+module-level function, class and assigned name of ``src/slotfill`` is read
+by the package itself or by the benchmark in ``perfbench/``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and names a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def read_names(path: Path, tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attributes, and the names
+    it imports unless it is a package's ``__init__.py``, whose re-exports
+    read nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unread_names(root: Path) -> dict[str, set[str]]:
+    """Per module of ``root/src/slotfill``, the top-level names that no
+    module of the package and no non-test module of ``root/perfbench``
+    reads."""
+    package = root / "src" / "slotfill"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*package.rglob("*.py"),
+                          *(root / "perfbench").glob("*.py")]
+             if not path.name.startswith("test_")}
+    read = set().union(*(read_names(p, t) for p, t in trees.items()))
+    unread = {}
+    # dunders such as ``__all__`` and ``__version__`` are read by the
+    # import system and packaging tools
+    for path, tree in trees.items():
+        if path.is_relative_to(package):
+            names = {n for n in defined_names(tree) - read
+                     if not (n.startswith("__") and n.endswith("__"))}
+            if names:
+                unread[str(path.relative_to(root))] = names
+    return unread
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    assert unread_names(ROOT) == {}
+
+
+def test_names_read_only_by_tests_are_reported(tmp_path):
+    package = tmp_path / "src" / "slotfill"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "__init__.py").write_text("from .core import SHOWN\n"
+                                          "__version__ = '1'\n")
+    (package / "core.py").write_text(
+        "USED = 1\nSHOWN = 2\nTESTED = 3\n\n\n"
+        "def helper():\n    return USED\n\n\n"
+        "class Unused:\n    pass\n")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "from slotfill.core import helper\n")
+    (tmp_path / "perfbench" / "test_run.py").write_text(
+        "from slotfill.core import TESTED\n")
+    assert unread_names(tmp_path) == {
+        "src/slotfill/core.py": {"SHOWN", "TESTED", "Unused"}}
