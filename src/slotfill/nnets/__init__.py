@@ -5,7 +5,7 @@ from .embeddings import EmbeddingMatrix, ENTITY_MARK, FILLER_MARK, load_embeddin
 from .ensemble import rnn_ensemble_score
 from .persist import load_model, save_model
 from .rnn import RNNClassifier
-from .training import TrainConfig, TrainResult, evaluate_accuracy, train
+from .training import train
 
 __all__ = [
     "CNNClassifier",
@@ -13,9 +13,6 @@ __all__ = [
     "ENTITY_MARK",
     "FILLER_MARK",
     "RNNClassifier",
-    "TrainConfig",
-    "TrainResult",
-    "evaluate_accuracy",
     "load_embedding_file",
     "load_model",
     "rnn_ensemble_score",

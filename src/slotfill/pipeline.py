@@ -75,7 +75,6 @@ class ModelMissingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    run_id: int
     classifiers: frozenset[str]
     entity_linking: bool = False
     threshold_bonus: float = 0.0
@@ -86,11 +85,11 @@ def configure_run(run_id: int, coref_enabled: bool = True) -> RunConfig:
     """The five standard run configurations."""
     base = frozenset({"pattern", "svm", "cnn"})
     table = {
-        1: RunConfig(1, base, threshold_bonus=0.2, coref_enabled=coref_enabled),
-        2: RunConfig(2, base, coref_enabled=coref_enabled),
-        3: RunConfig(3, base | {"rnn"}, coref_enabled=coref_enabled),
-        4: RunConfig(4, base, entity_linking=True, coref_enabled=coref_enabled),
-        5: RunConfig(5, frozenset({"pattern", "svm"}), coref_enabled=coref_enabled),
+        1: RunConfig(base, threshold_bonus=0.2, coref_enabled=coref_enabled),
+        2: RunConfig(base, coref_enabled=coref_enabled),
+        3: RunConfig(base | {"rnn"}, coref_enabled=coref_enabled),
+        4: RunConfig(base, entity_linking=True, coref_enabled=coref_enabled),
+        5: RunConfig(frozenset({"pattern", "svm"}), coref_enabled=coref_enabled),
     }
     if run_id not in table:
         raise ValueError(f"unknown run id {run_id}; expected 1..5")

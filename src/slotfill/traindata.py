@@ -10,7 +10,7 @@ matches the prediction at high confidence, retraining between batches.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ class LabeledExample:
     entity_first: bool
     label: int
     slot: str
-    origin: str = "distant"  # distant | seed | selected
 
 
 def load_kb_instances(path: str | Path) -> list[RelationInstance]:
@@ -78,12 +77,12 @@ _EXAMPLE_CHECKS = {
 
 
 def load_examples(path: str | Path) -> list[LabeledExample]:
-    """JSON Lines ``{left, middle, right, entity_first, label, slot}``; a bad
-    record, or a value of the wrong type, raises ValueError naming the file
-    and line."""
+    """JSON Lines ``{left, middle, right, entity_first, label, slot}``; other
+    keys are ignored.  A bad record, or a value of the wrong type, raises
+    ValueError naming the file and line."""
     return [LabeledExample(tuple(rec["left"]), tuple(rec["middle"]),
                            tuple(rec["right"]), rec["entity_first"],
-                           rec["label"], rec["slot"], rec.get("origin", "seed"))
+                           rec["label"], rec["slot"])
             for _, rec in read_jsonl(path, tuple(_EXAMPLE_CHECKS),
                                      _EXAMPLE_CHECKS)]
 
@@ -146,7 +145,7 @@ def generate_positive_examples(store: DocumentStore, kb: list[RelationInstance],
                             sent.texts, s_span, o_span)
                         out.append(LabeledExample(
                             tuple(left), tuple(middle), tuple(right),
-                            entity_first, 1, slot, origin="distant"))
+                            entity_first, 1, slot))
     return out
 
 
@@ -196,7 +195,7 @@ def generate_negative_examples(store: DocumentStore, kb: list[RelationInstance],
                         (obj.token_start, obj.token_end))
                     example = LabeledExample(
                         tuple(left), tuple(middle), tuple(right),
-                        entity_first, 0, slot, origin="distant")
+                        entity_first, 0, slot)
                     if _sentence_triggered(sent.lower, example, slot_triggers):
                         continue
                     out.append(example)
@@ -246,7 +245,7 @@ def select_training_data(noisy: list[LabeledExample],
             predicted = 1 if score >= 0.5 else 0
             confidence = max(score, 1.0 - score)
             if predicted == ex.label and confidence >= cfg.tau:
-                selected.append(replace(ex, origin="selected"))
+                selected.append(ex)
     return selected
 
 

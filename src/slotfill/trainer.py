@@ -18,7 +18,6 @@ from .nnets import (
     CNNClassifier,
     EmbeddingMatrix,
     RNNClassifier,
-    TrainConfig,
     load_embedding_file,
     save_model,
     train,
@@ -51,10 +50,6 @@ class ModelTrainingConfig:
     seed: int = 13
     svm_epochs: int = 20
     embedding_file: str | None = None
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                           batch_size=self.batch_size, seed=self.seed)
 
     def svm_config(self) -> SVMConfig:
         return SVMConfig(epochs=self.svm_epochs, seed=self.seed)
@@ -127,9 +122,12 @@ def train_slot_model(examples: list[LabeledExample], slot: str, kind: str,
         # built as it is trained, not all up front, to bound memory
         model = build(EmbeddingMatrix.build(vocabulary, dim=cfg.dim,
                                             seed=cfg.seed, pretrained=pretrained))
-        result = train(model, dataset, cfg.train_config())
-        log.info("slot %s %s: train accuracy %.3f", slot, name,
-                 result.train_accuracy)
+        losses = train(model, dataset, epochs=cfg.epochs,
+                       learning_rate=cfg.learning_rate,
+                       batch_size=cfg.batch_size, seed=cfg.seed)
+        if losses:
+            log.info("slot %s %s: last epoch mean loss %.4f", slot, name,
+                     losses[-1])
         path = out_dir / f"{stem}.{name}.npz"
         save_model(model, path, slot=slot)
         written.append(path)

@@ -1,7 +1,7 @@
 """Code that only the tests use: the synthetic separable and label-noised
 relation datasets, writing labeled examples, the F1 of a results row, the
-form of a normalised date and the finite-difference gradient checker of the
-networks."""
+form of a normalised date, a network's accuracy on a dataset and the
+finite-difference gradient checker of the networks."""
 
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def _make_example(rng: np.random.Generator, label: int,
     right = tuple(rng.choice(NOISE_VOCAB, size=rng.integers(0, 3)))
     return LabeledExample(left, middle, right,
                           entity_first=bool(rng.random() < 0.5),
-                          label=label, slot=slot, origin="distant")
+                          label=label, slot=slot)
 
 
 def true_label(example: LabeledExample) -> int:
@@ -76,7 +76,7 @@ def make_noisy_selection_data(n_seed: int = 40, n_noisy: int = 120,
         ex = _make_example(rng, int(i % 2 == 0))
         if rng.random() < noise_rate:
             ex = LabeledExample(ex.left, ex.middle, ex.right, ex.entity_first,
-                                1 - ex.label, ex.slot, ex.origin)
+                                1 - ex.label, ex.slot)
         noisy.append(ex)
     return seed_data, noisy
 
@@ -98,7 +98,7 @@ def save_examples(examples: list[LabeledExample], path: str | Path) -> None:
             fh.write(json.dumps({
                 "left": list(ex.left), "middle": list(ex.middle),
                 "right": list(ex.right), "entity_first": ex.entity_first,
-                "label": ex.label, "slot": ex.slot, "origin": ex.origin,
+                "label": ex.label, "slot": ex.slot,
             }) + "\n")
 
 
@@ -107,6 +107,16 @@ def f1(p: float, r: float) -> float:
     if p + r == 0:
         return 0.0
     return round(2 * p * r / (p + r), 2)
+
+
+def evaluate_accuracy(model, dataset: list[tuple[object, int]]) -> float:
+    """The share of ``(example, label)`` pairs whose forward score falls on
+    the label's side of 0.5."""
+    if not dataset:
+        return 0.0
+    correct = sum(1 for ex, label in dataset
+                  if (model.forward(ex) >= 0.5) == bool(label))
+    return correct / len(dataset)
 
 
 def gradient_check(model, example, label: int = 1,

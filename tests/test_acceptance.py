@@ -15,8 +15,6 @@ from slotfill.nnets import (
     CNNClassifier,
     EmbeddingMatrix,
     RNNClassifier,
-    TrainConfig,
-    evaluate_accuracy,
     train,
 )
 from slotfill.pipeline import (
@@ -35,6 +33,7 @@ from slotfill.traindata import SelectionConfig, select_training_data
 
 from helpers import (
     DATE_RE,
+    evaluate_accuracy,
     f1,
     gradient_check,
     make_noisy_selection_data,
@@ -100,9 +99,8 @@ def _train_until(model, train_pairs, test_pairs, seed, max_epochs=50,
                  chunk=5, target=0.95):
     epochs_used = 0
     while epochs_used < max_epochs:
-        train(model, train_pairs,
-              TrainConfig(learning_rate=0.5, epochs=chunk, batch_size=16,
-                          seed=seed + epochs_used))
+        train(model, train_pairs, epochs=chunk, learning_rate=0.5,
+              batch_size=16, seed=seed + epochs_used)
         epochs_used += chunk
         accuracy = evaluate_accuracy(model, test_pairs)
         if accuracy >= target:

@@ -10,7 +10,6 @@ from slotfill.nnets import (
     CNNClassifier,
     EmbeddingMatrix,
     RNNClassifier,
-    TrainConfig,
     load_embedding_file,
     load_model,
     rnn_ensemble_score,
@@ -19,7 +18,7 @@ from slotfill.nnets import (
 )
 from slotfill.nnets.rnn import encode_sequence
 
-from helpers import gradient_check
+from helpers import evaluate_accuracy, gradient_check
 
 
 @dataclass
@@ -239,7 +238,7 @@ class TestTraining:
         model = CNNClassifier(emb, filters=3, width=2, hidden=3, seed=4)
         before = {k: v.copy() for k, v in model.params().items()}
         data = toy_dataset(["the", "young"], n=8)
-        train(model, data, TrainConfig(learning_rate=0.0, epochs=2, seed=1))
+        train(model, data, epochs=2, learning_rate=0.0, batch_size=16, seed=1)
         after = model.params()
         for name in before:
             assert np.array_equal(before[name], after[name]), name
@@ -250,7 +249,8 @@ class TestTraining:
         for _ in range(2):
             emb = small_embeddings(seed=6)
             model = RNNClassifier(emb, variant="uni", hidden=4, seed=6)
-            train(model, data, TrainConfig(epochs=3, seed=2))
+            train(model, data, epochs=3, learning_rate=0.05, batch_size=16,
+                  seed=2)
             results.append({k: v.copy() for k, v in model.params().items()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name]), name
@@ -259,22 +259,31 @@ class TestTraining:
         emb = small_embeddings(seed=8)
         model = CNNClassifier(emb, filters=6, width=2, hidden=8, seed=8)
         data = toy_dataset(["the", "young", "city"], n=60, seed=9)
-        result = train(model, data,
-                       TrainConfig(learning_rate=0.5, epochs=40, seed=3))
-        assert result.train_accuracy >= 0.95
-        assert len(result.loss_trace) == 40
+        losses = train(model, data, epochs=40, learning_rate=0.5,
+                       batch_size=16, seed=3)
+        assert len(losses) == 40
+        assert evaluate_accuracy(model, data) >= 0.95
 
     def test_empty_dataset_rejected(self):
         emb = small_embeddings()
         model = CNNClassifier(emb, filters=2, width=2, hidden=2)
         with pytest.raises(ValueError):
-            train(model, [], TrainConfig())
+            train(model, [], epochs=1, learning_rate=0.05, batch_size=16,
+                  seed=13)
 
     def test_bad_label_rejected(self):
         emb = small_embeddings()
         model = CNNClassifier(emb, filters=2, width=2, hidden=2)
         with pytest.raises(ValueError):
-            train(model, [(EX, 2)], TrainConfig())
+            train(model, [(EX, 2)], epochs=1, learning_rate=0.05,
+                  batch_size=16, seed=13)
+
+    def test_negative_learning_rate_rejected(self):
+        emb = small_embeddings()
+        model = CNNClassifier(emb, filters=2, width=2, hidden=2)
+        with pytest.raises(ValueError, match="learning rate"):
+            train(model, [(EX, 1)], epochs=1, learning_rate=-0.1,
+                  batch_size=16, seed=13)
 
 
 class TestEnsemble:
@@ -371,10 +380,45 @@ class TestEmbeddingsPerJob:
             emb = EmbeddingMatrix.build(words, dim=4, seed=cfg.seed,
                                         pretrained=load_embedding_file(vec))
             model = RNNClassifier(emb, variant=variant, hidden=4, seed=cfg.seed)
-            train(model, dataset, cfg.train_config())
+            train(model, dataset, epochs=cfg.epochs,
+                  learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
+                  seed=cfg.seed)
             expected = tmp_path / f"expected.{variant}.npz"
             save_model(model, expected, slot=slot)
             with np.load(path) as got, np.load(expected) as want:
                 assert got.files == want.files
                 for key in want.files:
                     assert np.array_equal(got[key], want[key]), (variant, key)
+
+
+class TestTrainingJob:
+    @pytest.mark.parametrize("kind", ["cnn", "rnn"])
+    def test_job_scores_nothing_after_training(self, kind, tmp_path,
+                                               monkeypatch, caplog,
+                                               fixtures_dir):
+        """A training job runs the networks only through ``loss_and_grads``:
+        no forward pass scores the training set once the epochs are done."""
+        import logging
+
+        from slotfill import trainer
+        from slotfill.traindata import load_examples
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("forward pass during a training job")
+
+        for cls in (CNNClassifier, RNNClassifier):
+            monkeypatch.setattr(cls, "forward", forbidden)
+        monkeypatch.setattr(CNNClassifier, "forward_batch", forbidden)
+        slot = "per:location_of_birth"
+        examples = [e for e in load_examples(fixtures_dir / "seed_examples.jsonl")
+                    if e.slot == slot]
+        cfg = trainer.ModelTrainingConfig(dim=4, filters=3, cnn_hidden=4,
+                                          rnn_hidden=4, epochs=2, batch_size=4)
+        with caplog.at_level(logging.INFO, logger=trainer.__name__):
+            paths = trainer.train_slot_model(examples, slot, kind,
+                                             tmp_path / "models", cfg)
+        assert len(paths) == (3 if kind == "rnn" else 1)
+        assert all(path.exists() for path in paths)
+        losses = [r.getMessage() for r in caplog.records
+                  if "last epoch mean loss" in r.getMessage()]
+        assert len(losses) == len(paths)

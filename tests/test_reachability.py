@@ -1,6 +1,7 @@
 """No code in the package is reachable only from the tests: every
-module-level function, class and assigned name of ``src/slotfill`` is read
-by the package itself or by the benchmark in ``perfbench/``."""
+module-level function, class and assigned name of ``src/slotfill``, and
+every annotated field of its classes, is read by the package itself or by
+the benchmark in ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -38,15 +39,56 @@ def read_names(path: Path, tree: ast.Module) -> set[str]:
     return names
 
 
-def unread_names(root: Path) -> dict[str, set[str]]:
-    """Per module of ``root/src/slotfill``, the top-level names that no
-    module of the package and no non-test module of ``root/perfbench``
-    reads."""
+def class_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """The ``(class, field)`` pairs of every annotated name in a class body:
+    the fields of a dataclass or a NamedTuple."""
+    return {(node.name, stmt.target.id)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)}
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """The attribute names a module loads; an assignment to an attribute
+    does not read it."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _package_trees(root: Path) -> tuple[Path, dict[Path, ast.Module]]:
+    """``root/src/slotfill`` and the parsed modules of the package and of
+    ``root/perfbench``, test modules aside."""
     package = root / "src" / "slotfill"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in [*package.rglob("*.py"),
                           *(root / "perfbench").glob("*.py")]
              if not path.name.startswith("test_")}
+    return package, trees
+
+
+def unread_fields(root: Path) -> dict[str, set[str]]:
+    """Per module of ``root/src/slotfill``, the ``Class.field`` names of the
+    class fields that no module of the package and no non-test module of
+    ``root/perfbench`` reads as an attribute."""
+    package, trees = _package_trees(root)
+    read = set().union(*map(read_attributes, trees.values()))
+    unread = {}
+    for path, tree in trees.items():
+        if path.is_relative_to(package):
+            names = {f"{cls}.{field}" for cls, field in class_fields(tree)
+                     if field not in read}
+            if names:
+                unread[str(path.relative_to(root))] = names
+    return unread
+
+
+def unread_names(root: Path) -> dict[str, set[str]]:
+    """Per module of ``root/src/slotfill``, the top-level names that no
+    module of the package and no non-test module of ``root/perfbench``
+    reads."""
+    package, trees = _package_trees(root)
     read = set().union(*(read_names(p, t) for p, t in trees.items()))
     unread = {}
     # dunders such as ``__all__`` and ``__version__`` are read by the
@@ -62,6 +104,10 @@ def unread_names(root: Path) -> dict[str, set[str]]:
 
 def test_every_package_name_is_read_outside_the_tests():
     assert unread_names(ROOT) == {}
+
+
+def test_every_class_field_is_read_outside_the_tests():
+    assert unread_fields(ROOT) == {}
 
 
 def test_names_read_only_by_tests_are_reported(tmp_path):
@@ -80,3 +126,23 @@ def test_names_read_only_by_tests_are_reported(tmp_path):
         "from slotfill.core import TESTED\n")
     assert unread_names(tmp_path) == {
         "src/slotfill/core.py": {"SHOWN", "TESTED", "Unused"}}
+
+
+def test_fields_read_only_by_tests_or_only_written_are_reported(tmp_path):
+    package = tmp_path / "src" / "slotfill"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "core.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n\n\n"
+        "@dataclass\nclass Config:\n    used: int\n    written: int\n"
+        "    tested: int = 0\n    LIMIT = 3\n\n\n"
+        "class Hit(NamedTuple):\n    doc_id: str\n    score: float\n\n\n"
+        "def run(cfg, hit):\n    cfg.written = cfg.used\n"
+        "    return hit.doc_id\n")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "def report(hit):\n    return hit.score\n")
+    (tmp_path / "perfbench" / "test_run.py").write_text(
+        "def test_tested(cfg):\n    assert cfg.tested == 0\n")
+    assert unread_fields(tmp_path) == {
+        "src/slotfill/core.py": {"Config.written", "Config.tested"}}

@@ -132,7 +132,6 @@ class TestSelectionLoop:
         for ex in selected:
             assert (ex.left, ex.middle, ex.right, ex.entity_first,
                     ex.label) in noisy_keys
-            assert ex.origin == "selected"
 
     def test_k_one_single_pass(self):
         seed_data, noisy = make_noisy_selection_data(seed=7)
@@ -253,11 +252,18 @@ class TestTuneWeights:
 class TestExampleIO:
     def test_round_trip(self, tmp_path):
         examples = [LabeledExample(("a",), ("b", "c"), (), True, 1, "per:age"),
-                    LabeledExample((), ("x",), ("y",), False, 0, "per:age",
-                                   origin="selected")]
+                    LabeledExample((), ("x",), ("y",), False, 0, "per:age")]
         p = tmp_path / "examples.jsonl"
         save_examples(examples, p)
         assert load_examples(p) == examples
+
+    def test_extra_keys_are_ignored(self, tmp_path):
+        p = tmp_path / "examples.jsonl"
+        p.write_text('{"left": [], "middle": ["b"], "right": [], '
+                     '"entity_first": true, "label": 1, "slot": "per:age", '
+                     '"origin": "distant"}\n', encoding="utf-8")
+        assert load_examples(p) == [
+            LabeledExample((), ("b",), (), True, 1, "per:age")]
 
     def test_bad_example_names_file_and_line(self, tmp_path):
         p = tmp_path / "examples.jsonl"
