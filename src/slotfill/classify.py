@@ -270,14 +270,3 @@ def check_weights(weights, source) -> dict[str, float]:
         raise ValueError(f"{source}: interpolation weights must map "
                          f"{', '.join(CLASSIFIER_ORDER)} to numbers: {weights!r}")
     return {k: float(v) for k, v in weights.items()}
-
-
-def canonicalize_slot(slot: str, slot_configs: dict) -> tuple[str, bool]:
-    """Map a slot to its canonical classification slot; swapped is true when
-    the canonical slot is the slot's inverse (argument roles flip)."""
-    cfg = slot_configs.get(slot)
-    if cfg is None:
-        raise ValueError(f"unknown slot {slot!r}")
-    canonical = cfg.canonical_slot
-    swapped = canonical != slot and cfg.inverse_slot == canonical
-    return canonical, swapped

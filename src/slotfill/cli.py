@@ -30,7 +30,6 @@ def seed_from_env(default: int = DEFAULT_SEED) -> int:
 
 def _cmd_train(args) -> int:
     from . import resources
-    from .classify import canonicalize_slot
     from .corpus import ingest_documents
     from .traindata import SelectionConfig, load_examples, load_kb_instances
     from .trainer import (
@@ -41,7 +40,10 @@ def _cmd_train(args) -> int:
     )
 
     slot_configs = resources.default_slot_configs()
-    canonical, _ = canonicalize_slot(args.slot, slot_configs)
+    if args.slot not in slot_configs:
+        print(f"error: unknown slot {args.slot!r}", file=sys.stderr)
+        return 1
+    canonical = slot_configs[args.slot].canonical_slot
     if slot_configs[canonical].classifier_less and args.model != "pattern":
         print(f"slot {args.slot} is classifier-less; only patterns apply")
         return 1
@@ -82,7 +84,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     from . import resources
-    from .classify import canonicalize_slot, combine_scores, match_patterns
+    from .classify import combine_scores, match_patterns
     from .pipeline import ModelRegistry, classifier_scores, classifier_view
     from .traindata import load_examples, tune_interpolation_weights, tune_thresholds
 
@@ -99,9 +101,10 @@ def _cmd_tune(args) -> int:
     scores: list[dict[str, float]] = []
     views = []
     for i, ex in enumerate(dev):
-        canonical, swapped = canonicalize_slot(ex.slot, slot_configs)
+        slot_cfg = slot_configs[ex.slot]
+        canonical = slot_cfg.canonical_slot
         rows.setdefault(canonical, []).append(i)
-        views.append(classifier_view(ex, swapped))
+        views.append(classifier_view(ex, slot_cfg.swapped))
         scores.append({"pattern": match_patterns(
             views[-1], patterns.get(canonical, []))})
     for canonical, idx in rows.items():

@@ -63,10 +63,9 @@ class Document:
 class DocumentStore:
     """Immutable-after-ingestion collection of documents, keyed by id."""
 
-    def __init__(self, documents: list[Document] | None = None,
-                 errors: list[str] | None = None):
+    def __init__(self, documents: list[Document] | None = None):
         self._docs: dict[str, Document] = {}
-        self.errors: list[str] = list(errors or [])
+        self.errors: list[str] = []
         for doc in documents or []:
             self.add(doc)
 

@@ -59,25 +59,30 @@ class NESpan:
 
 @dataclass(frozen=True)
 class SlotConfig:
+    """One slot's rules, all settled when the slot table loads."""
     slot: str
-    filler_ne_type: str | None      # exactly one of ne_type / list name is set
-    filler_list: str | None
-    single_valued: bool
-    top_n: int
+    filler_type: str            # NE type of the fillers
+    top_n: int                  # answers kept; 1 for a single-valued slot
     threshold: float
-    inverse_slot: str | None
-    canonical_slot: str
+    canonical_slot: str         # the slot whose models and patterns score it
+    swapped: bool               # the canonical slot is its inverse: roles flip
+    granularity: str | None     # city / stateorprovince / country / any
+    entity_type: str            # PER or ORG, the type of the slot's entity
     classifier_less: bool
 
-    @property
-    def required_ne_type(self) -> str:
-        if self.filler_ne_type:
-            return self.filler_ne_type
-        return STRING_LIST_TYPES[self.filler_list]
+
+# a location slot's name after "per:" / "org:" starts with one of these
+GRANULARITIES = (
+    (("city_of_", "cities_of_"), "city"),
+    (("stateorprovince_of_", "statesorprovinces_of_"), "stateorprovince"),
+    (("country_of_", "countries_of_"), "country"),
+    (("location_of_",), "any"),
+)
 
 
 def load_slot_configs(path: str | Path) -> dict[str, SlotConfig]:
-    """JSON slot table -> slot name to SlotConfig."""
+    """JSON slot table -> slot name to SlotConfig.  This is the one place
+    that reads a slot's name or its inverse slot for its rules."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     configs: dict[str, SlotConfig] = {}
@@ -87,46 +92,34 @@ def load_slot_configs(path: str | Path) -> dict[str, SlotConfig]:
         list_name = kind.get("list")
         if bool(ne_type) == bool(list_name):
             raise ValueError(f"slot {slot}: exactly one of ne_type/list required")
-        single = bool(entry["single_valued"])
         top_n = int(entry["top_n"])
-        if single and top_n != 1:
+        if entry["single_valued"] and top_n != 1:
             raise ValueError(f"slot {slot}: single-valued slots must have top_n=1")
+        canonical = entry["canonical_slot"]
+        name = slot.split(":", 1)[-1]
         configs[slot] = SlotConfig(
             slot=slot,
-            filler_ne_type=ne_type,
-            filler_list=list_name,
-            single_valued=single,
+            filler_type=ne_type or STRING_LIST_TYPES[list_name],
             top_n=top_n,
             threshold=float(entry["threshold"]),
-            inverse_slot=entry.get("inverse_slot"),
-            canonical_slot=entry["canonical_slot"],
+            canonical_slot=canonical,
+            swapped=(canonical != slot
+                     and entry.get("inverse_slot") == canonical),
+            granularity=next((g for prefixes, g in GRANULARITIES
+                              if name.startswith(prefixes)), None),
+            entity_type="PER" if slot.startswith("per:") else "ORG",
             classifier_less=bool(entry.get("classifier_less", False)),
         )
     return configs
 
 
-def location_granularity(slot: str) -> str | None:
-    """city / stateorprovince / country / any for location slots, else None."""
-    name = slot.split(":", 1)[-1]
-    if name.startswith(("city_of_", "cities_of_")):
-        return "city"
-    if name.startswith(("stateorprovince_of_", "statesorprovinces_of_")):
-        return "stateorprovince"
-    if name.startswith(("country_of_", "countries_of_")):
-        return "country"
-    if name.startswith("location_of_"):
-        return "any"
-    return None
-
-
 class Gazetteers:
-    """Longest-match gazetteers over lowercased token tuples.  ``entries``
-    maps each NE type to its entries; ``by_first`` is the one lookup table
-    the tagger reads: an entry's first token maps to the types that have
+    """Longest-match gazetteers over lowercased token tuples, built from
+    each NE type's entries.  ``by_first`` is the one lookup table the
+    tagger reads: an entry's first token maps to the types that have
     entries starting with it, each with those entries, longest first."""
 
     def __init__(self, entries: dict[str, set[tuple[str, ...]]]):
-        self.entries = entries
         by_first: dict[str, dict[str, list[tuple[str, ...]]]] = {}
         for ne_type, items in entries.items():
             for entry in items:
@@ -268,7 +261,7 @@ def candidates_for_slot(doc: Document, sentence_index: int,
     """
     sentence = doc.sentences[sentence_index]
     texts = sentence.texts
-    required = slot_config.required_ne_type
+    required = slot_config.filler_type
     mentions_here = [m for m in entity_mentions if m.sentence_index == sentence_index]
     if not mentions_here:
         return []
@@ -340,7 +333,7 @@ def filter_impossible(candidate: Candidate, slot_config: SlotConfig,
     if candidate.filler.surface.casefold() == \
             candidate.entity_mention.surface.casefold():
         return False
-    required = slot_config.required_ne_type
+    required = slot_config.filler_type
     rules = (validation or {}).get(slot_config.slot, {})
     if required == "NUMBER":
         value = _parse_number(candidate.filler.surface)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    canonicalize_slot,
     check_weights,
     combine_scores,
     load_svm,
@@ -31,7 +30,6 @@ from .corpus import DocumentStore, ingest_documents
 from .extract import (
     candidates_for_slot,
     filter_impossible,
-    location_granularity,
     tag_entities,
 )
 from .mentions import (
@@ -188,22 +186,21 @@ def classifier_scores(models: ModelRegistry, canonical: str, views,
     return scores
 
 
-# extraction-site entries the memo holds before both its dicts are
-# cleared: an entity with 100 retrieved documents holds about 21 KB of
-# extraction sites and tagged sentences, so the memo stays near 5.5 MB
+# extraction-site entries the memo holds before it is cleared: an entity
+# with 100 retrieved documents holds about 18 KB of extraction sites, so
+# the memo stays near 4.5 MB
 MEMO_ENTITIES = 256
 
 
 @dataclass
 class SystemState:
     """Resources shared by all queries of a run, the KB among them, which
-    are read-only once the first query ran, plus the two memos those
+    are read-only once the first query ran, plus the one memo those
     queries fill: ``sites`` maps ``((entity_name, entity_type),
     entity_linking, coref_enabled)`` to the entity's extraction sites (see
-    ``_sites``), and ``tags`` maps ``(doc_id, sentence_index)`` to the
-    sentence's NE spans.  Both start empty and hold tuples.  A state that
-    serves several linking or coreference settings retrieves an entity
-    once per setting."""
+    ``_sites``).  It starts empty and holds tuples.  A state that serves
+    several linking or coreference settings retrieves an entity once per
+    setting."""
     store: DocumentStore
     index: InvertedIndex
     slot_configs: dict
@@ -217,7 +214,6 @@ class SystemState:
     weights: dict
     coref: dict = field(default_factory=dict)
     models: ModelRegistry = field(default_factory=ModelRegistry)
-    tags: dict = field(default_factory=dict)
     sites: dict = field(default_factory=dict)
 
 
@@ -297,31 +293,23 @@ def _gated(state: SystemState, name: str, seeded: tuple) -> tuple:
                                             kb_entries, idf))
 
 
-def _collect_mentions(state: SystemState, doc, seed: tuple,
-                      chains: list) -> tuple:
+def _collect_mentions(doc, seed: tuple, chains: list, tagged) -> tuple:
     """The seed name mentions plus the ones of the document's coref
-    ``chains`` and the nominal heuristic; the seed tuple itself when
-    nothing is added."""
+    ``chains`` and the nominal heuristic, which ``tagged(doc,
+    sentence_index)`` NE spans block; the seed tuple itself when nothing
+    is added."""
     merged = merge_mentions(seed, attach_coref_mentions(doc, chains, seed))
     if merged:
         blocked: dict[int, set[int]] = {}
         for t in {m.sentence_index + 1 for m in merged}:
             if t < len(doc.sentences):
-                spans = _tagged(state, doc, t)
+                spans = tagged(doc, t)
                 blocked[t] = {i for s in spans if s.ne_type in ("PER", "ORG")
                               for i in range(s.token_start, s.token_end)}
         heuristic = nominal_anaphora_heuristic(doc, merged, blocked)
         merged = merge_mentions(merged, heuristic)
     # merging keeps every seed span, so equal lengths mean no addition
     return tuple(merged) if len(merged) > len(seed) else seed
-
-
-def _tagged(state: SystemState, doc, sentence_index: int) -> tuple:
-    spans = state.tags.get((doc.id, sentence_index))
-    if spans is None:
-        spans = state.tags[doc.id, sentence_index] = tuple(
-            tag_entities(doc.sentences[sentence_index], state.gazetteers))
-    return spans
 
 
 def _seeded(state: SystemState, name: str, entity_type: str) -> tuple:
@@ -344,8 +332,8 @@ def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
     the gate keeps, in retrieval then sentence order.  ``mentions`` are the
     sentence's (the seed plus, with coreference, the coref and heuristic
     ones), ``spans`` its NE spans and ``chains`` the document's coref
-    chains, empty without coreference.  Only the slot-specific work is left
-    to each query."""
+    chains, empty without coreference.  Each sentence is tagged once per
+    entity.  Only the slot-specific work is left to each query."""
     key = ((query.entity_name, query.entity_type), cfg.entity_linking,
            cfg.coref_enabled)
     sites = state.sites.get(key)
@@ -353,7 +341,15 @@ def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
         return sites
     if len(state.sites) >= MEMO_ENTITIES:
         state.sites.clear()
-        state.tags.clear()
+    tags: dict = {}
+
+    def tagged(doc, sentence_index: int) -> tuple:
+        at = doc.id, sentence_index
+        if at not in tags:
+            tags[at] = tuple(tag_entities(doc.sentences[sentence_index],
+                                          state.gazetteers))
+        return tags[at]
+
     seeded = _seeded(state, query.entity_name, query.entity_type)
     if cfg.entity_linking and seeded:
         seeded = _gated(state, query.entity_name, seeded)
@@ -362,7 +358,7 @@ def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
         mentions, chains = seed, []
         if cfg.coref_enabled:
             chains = state.coref.get(doc.id, [])
-            mentions = _collect_mentions(state, doc, seed, chains)
+            mentions = _collect_mentions(doc, seed, chains, tagged)
         # mentions are sorted by span, so each sentence's form one run; a
         # document with one such sentence shares its mentions tuple
         for sentence_index, here in groupby(
@@ -370,7 +366,7 @@ def _sites(state: SystemState, query: SlotQuery, cfg: RunConfig) -> tuple:
             here = tuple(here)
             found.append((doc, sentence_index,
                           mentions if len(here) == len(mentions) else here,
-                          _tagged(state, doc, sentence_index), chains))
+                          tagged(doc, sentence_index), chains))
     sites = state.sites[key] = tuple(found)
     return sites
 
@@ -392,11 +388,10 @@ def _score_candidates(state: SystemState, cfg: RunConfig, candidates: list,
         state.weights) for i, p in enumerate(pattern_scores)]
 
 
-def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
-                           score: float) -> Answer | None:
-    slot_cfg = state.slot_configs[query.slot]
+def _postprocess_candidate(state: SystemState, query: SlotQuery, slot_cfg,
+                           candidate, score: float) -> Answer | None:
     filler = candidate.canonical_filler
-    if slot_cfg.required_ne_type == "DATE":
+    if slot_cfg.filler_type == "DATE":
         normalized = normalize_date(filler)
         if normalized is None:
             return None
@@ -407,7 +402,7 @@ def _postprocess_candidate(state: SystemState, query: SlotQuery, candidate,
                   f"{candidate.filler.token_start}-{candidate.filler.token_end}")
     answer = Answer(query.id, query.hop, query.slot, filler, candidate.doc_id,
                     provenance, score)
-    granularity = location_granularity(query.slot)
+    granularity = slot_cfg.granularity
     if granularity is None:
         return answer
     kind = disambiguate_location(answer.filler, state.location_maps)
@@ -440,33 +435,35 @@ def extract_candidates(state: SystemState, query: SlotQuery,
 
 def run_query(state: SystemState, query: SlotQuery, cfg: RunConfig) -> list[Answer]:
     """Execute the full pipeline for one query at its hop."""
-    canonical, swapped = canonicalize_slot(query.slot, state.slot_configs)
-    slot_cfg = state.slot_configs[query.slot]
     candidates = extract_candidates(state, query, cfg)
-    scores = _score_candidates(state, cfg, candidates, canonical, swapped)
+    slot_cfg = state.slot_configs[query.slot]
+    scores = _score_candidates(state, cfg, candidates,
+                               slot_cfg.canonical_slot, slot_cfg.swapped)
 
     answers = []
     for candidate, score in zip(candidates, scores):
         if score < effective_threshold(slot_cfg.threshold, query.hop,
                                        cfg.threshold_bonus):
             continue
-        answer = _postprocess_candidate(state, query, candidate, score)
+        answer = _postprocess_candidate(state, query, slot_cfg, candidate,
+                                        score)
         if answer is not None:
             answers.append(answer)
     return rank_and_truncate(answers, slot_cfg)
 
 
 def validate_cold_start(query: SlotQuery, slot_configs: dict) -> None:
-    """A hop-1 slot requires the hop-0 filler to be an entity type."""
+    """A hop-1 slot requires the hop-0 filler to be an entity type.  An
+    unknown hop-0 slot is left to ``extract_candidates``'s check."""
     if query.next_slot is None:
         return
     if query.next_slot not in slot_configs:
         raise ValueError(f"unknown hop-1 slot {query.next_slot!r}")
-    hop0_cfg = slot_configs[query.slot]
-    if hop0_cfg.required_ne_type not in ENTITY_NE_TYPES:
+    hop0_cfg = slot_configs.get(query.slot)
+    if hop0_cfg is not None and hop0_cfg.filler_type not in ENTITY_NE_TYPES:
         raise ValueError(
             f"hop-0 slot {query.slot!r} fills type "
-            f"{hop0_cfg.required_ne_type}, which cannot seed a hop-1 query")
+            f"{hop0_cfg.filler_type}, which cannot seed a hop-1 query")
 
 
 def run_cold_start(state: SystemState, query: SlotQuery,
@@ -478,7 +475,7 @@ def run_cold_start(state: SystemState, query: SlotQuery,
     answers = list(hop0_answers)
     if query.next_slot is None:
         return answers
-    filler_type = state.slot_configs[query.slot].required_ne_type
+    filler_type = state.slot_configs[query.slot].filler_type
     for parent in hop0_answers:
         hop1_query = SlotQuery(query.id, parent.filler, filler_type,
                                query.next_slot, hop=1)

@@ -198,7 +198,8 @@ def normalize_date(surface: str) -> str | None:
 def rank_and_truncate(answers: list[Answer], slot_config) -> list[Answer]:
     """Sort by score desc (ties: doc id, then filler), collapse duplicate
     normalized surfaces, compared case-insensitively as scoring matches
-    them, keeping the best-ranked, keep top 1 or top N."""
+    them, keeping the best-ranked, keep the slot's top N (1 for a
+    single-valued slot)."""
     ranked = sorted(answers, key=lambda a: (-a.score, a.doc_id, a.filler))
     deduped: list[Answer] = []
     seen: set[str] = set()
@@ -208,5 +209,4 @@ def rank_and_truncate(answers: list[Answer], slot_config) -> list[Answer]:
             continue
         seen.add(key)
         deduped.append(a)
-    n = 1 if slot_config.single_valued else slot_config.top_n
-    return deduped[:n]
+    return deduped[:slot_config.top_n]

@@ -222,10 +222,10 @@ def link_entity(candidates: list[KBEntry], idf: dict[str, float],
 
 def document_matches_entity(mention_context: Counter, target: KBEntry,
                             candidates: list[KBEntry], idf: dict[str, float],
-                            margin: float = LINK_MARGIN) -> bool:
+                            ) -> bool:
     """Gate a retrieved document: keep it unless some other of the entity
-    name's ``candidates`` beats the linked target by at least ``margin`` in
-    context cosine under the KB's ``idf``.
+    name's ``candidates`` beats the linked target by at least
+    ``LINK_MARGIN`` in context cosine under the KB's ``idf``.
 
     Ambiguity below the margin fails open (document retained), so the gate
     can only ever drop documents.
@@ -237,4 +237,4 @@ def document_matches_entity(mention_context: Counter, target: KBEntry,
         tfidf_cosine(mention_context, e.description_terms, idf)
         for e in candidates if e.entity_id != target.entity_id
     )
-    return best_other - target_score < margin
+    return best_other - target_score < LINK_MARGIN

@@ -120,10 +120,10 @@ def query_or(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
 
 def retrieve_for_entity(index: InvertedIndex, name: str,
                         ir_alias: str | None = None,
-                        entity_type: str = "PER",
-                        limit: int = MAX_DOCS_PER_ENTITY) -> list[str]:
+                        entity_type: str = "PER") -> list[str]:
     """Union of the three query forms (and_name > and_alias > or_name),
-    deduplicated and capped.  GPE entities skip the OR query."""
+    deduplicated and capped at ``MAX_DOCS_PER_ENTITY``.  GPE entities skip
+    the OR query."""
     if not name:
         raise ValueError("entity name must be nonempty")
     name_terms = text_terms(name)
@@ -145,7 +145,7 @@ def retrieve_for_entity(index: InvertedIndex, name: str,
             if r.doc_id not in seen:
                 seen.add(r.doc_id)
                 out.append(r.doc_id)
-                if len(out) >= limit:
+                if len(out) >= MAX_DOCS_PER_ENTITY:
                     return out
     return out
 

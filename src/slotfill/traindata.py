@@ -27,11 +27,19 @@ from .classify import (
 )
 from .corpus import DocumentStore, tokenize
 from .extract import Gazetteers, SlotConfig, split_contexts, tag_entities
-from .resources import STRING, STRINGS, ZERO_OR_ONE, read_jsonl
+from .resources import (
+    STRING,
+    STRINGS,
+    ZERO_OR_ONE,
+    default_slot_configs,
+    read_jsonl,
+)
 
 log = logging.getLogger(__name__)
 
 THRESHOLD_GRID = [round(i / 100, 2) for i in range(101)]
+# the threshold of a slot whose dev data lacks a positive or a negative
+DEFAULT_THRESHOLD = 0.5
 WEIGHT_GRID_STEPS = 10  # 0.1 steps over the simplex
 
 
@@ -78,13 +86,16 @@ _EXAMPLE_CHECKS = {
 
 def load_examples(path: str | Path) -> list[LabeledExample]:
     """JSON Lines ``{left, middle, right, entity_first, label, slot}``; other
-    keys are ignored.  A bad record, or a value of the wrong type, raises
-    ValueError naming the file and line."""
+    keys are ignored.  A bad record, a value of the wrong type or a slot
+    missing from the bundled slot table raises ValueError naming the file,
+    line and field."""
+    slots = default_slot_configs()
+    known = {"slot": ("a slot of the bundled slot table", lambda v: v in slots)}
     return [LabeledExample(tuple(rec["left"]), tuple(rec["middle"]),
                            tuple(rec["right"]), rec["entity_first"],
                            rec["label"], rec["slot"])
             for _, rec in read_jsonl(path, tuple(_EXAMPLE_CHECKS),
-                                     _EXAMPLE_CHECKS)]
+                                     _EXAMPLE_CHECKS, known)]
 
 
 def load_triggers(path: str | Path) -> dict[str, list]:
@@ -169,8 +180,8 @@ def generate_negative_examples(store: DocumentStore, kb: list[RelationInstance],
     known_pairs = {(" ".join(_surface_tokens(i.subject)),
                     " ".join(_surface_tokens(i.object)))
                    for i in kb if i.relation == slot}
-    entity_type = "PER" if slot.startswith("per:") else "ORG"
-    filler_type = slot_config.required_ne_type
+    entity_type = slot_config.entity_type
+    filler_type = slot_config.filler_type
     slot_triggers = triggers.get(slot, [])
     out: list[LabeledExample] = []
     for doc in store:
@@ -261,16 +272,17 @@ def _f1_at(scored: list[tuple[float, int]], theta: float) -> float:
 
 
 def tune_thresholds(dev: dict[str, list[tuple[float, int]]],
-                    default: float = 0.5) -> dict[str, float]:
+                    ) -> dict[str, float]:
     """Per slot, sweep theta over {0.00..1.00} and keep the F1 maximizer
-    (ties: smallest theta); slots without both labels fall back to 0.5."""
+    (ties: smallest theta); slots without both labels fall back to
+    ``DEFAULT_THRESHOLD``."""
     out: dict[str, float] = {}
     for slot, scored in dev.items():
         labels = {y for _, y in scored}
         if labels != {0, 1}:
             log.warning("slot %s: dev data lacks both labels, default %.2f",
-                        slot, default)
-            out[slot] = default
+                        slot, DEFAULT_THRESHOLD)
+            out[slot] = DEFAULT_THRESHOLD
             continue
         best_theta, best_f1 = 0.0, -1.0
         for theta in THRESHOLD_GRID:

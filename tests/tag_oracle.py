@@ -15,6 +15,15 @@ from slotfill.extract import (
 )
 
 
+def gazetteer_entries(gazetteers: Gazetteers) -> dict[str, set[tuple[str, ...]]]:
+    """Each NE type's entries, gathered from the first-token table."""
+    entries: dict[str, set[tuple[str, ...]]] = {}
+    for types in gazetteers.by_first.values():
+        for ne_type, items in types:
+            entries.setdefault(ne_type, set()).update(items)
+    return entries
+
+
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
     """Tag NE spans: gazetteer longest matches plus DATE/NUMBER/URL regexes;
     overlapping spans resolved longest-first, ties leftmost."""
@@ -23,7 +32,7 @@ def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
     n = len(texts)
     spans: list[NESpan] = []
 
-    for ne_type, items in gazetteers.entries.items():
+    for ne_type, items in gazetteer_entries(gazetteers).items():
         max_len = max((len(e) for e in items), default=0)
         for i in range(n):
             for width in range(min(max_len, n - i), 0, -1):

@@ -10,7 +10,6 @@ from slotfill.classify import (
     LinearModel,
     Pattern,
     SVMConfig,
-    canonicalize_slot,
     check_weights,
     combine_scores,
     featurize,
@@ -22,7 +21,8 @@ from slotfill.classify import (
     svm_score,
     svm_train,
 )
-from slotfill.pipeline import classifier_view
+from slotfill.pipeline import classifier_view, configure_run, run_query
+from slotfill.query import SlotQuery
 from slotfill.resources import default_slot_configs, default_weights
 
 
@@ -271,26 +271,33 @@ def slots():
     return default_slot_configs()
 
 
+def canonical(cfg) -> tuple[str, bool]:
+    return cfg.canonical_slot, cfg.swapped
+
+
 class TestCanonicalizeSlot:
+    """The slot table settles each slot's canonical classification slot,
+    and whether it is the slot's inverse (argument roles flip)."""
+
     def test_inverse_slot_swapped(self, slots):
-        assert canonicalize_slot("org:students", slots) == \
+        assert canonical(slots["org:students"]) == \
             ("per:schools_attended", True)
 
     def test_location_merge_not_swapped(self, slots):
-        assert canonicalize_slot("per:city_of_birth", slots) == \
+        assert canonical(slots["per:city_of_birth"]) == \
             ("per:location_of_birth", False)
 
     def test_canonical_identity(self, slots):
-        assert canonicalize_slot("per:schools_attended", slots) == \
+        assert canonical(slots["per:schools_attended"]) == \
             ("per:schools_attended", False)
 
     def test_idempotent(self, slots):
-        for slot in slots:
-            canonical, _ = canonicalize_slot(slot, slots)
-            again, swapped = canonicalize_slot(canonical, slots)
-            assert again == canonical
+        for cfg in slots.values():
+            again, swapped = canonical(slots[cfg.canonical_slot])
+            assert again == cfg.canonical_slot
             assert swapped is False
 
-    def test_unknown_slot_rejected(self, slots):
-        with pytest.raises(ValueError):
-            canonicalize_slot("per:shoe_size", slots)
+    def test_unknown_slot_rejected(self, system_state):
+        query = SlotQuery("q1", "Steve Miller", "PER", "per:shoe_size")
+        with pytest.raises(ValueError, match="unknown slot 'per:shoe_size'"):
+            run_query(system_state, query, configure_run(2))

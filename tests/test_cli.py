@@ -63,6 +63,14 @@ class TestTrainCommand:
         rc = main(["train", "--slot", "per:charges", "--model", "svm"])
         assert rc == 1
 
+    def test_unknown_slot_refused(self, fixtures_dir, tmp_path, capsys):
+        rc = main(["train", "--slot", "per:shoe_size", "--model", "svm",
+                   "--examples", str(fixtures_dir / "seed_examples.jsonl"),
+                   "--out-dir", str(tmp_path / "models")])
+        assert rc == 1
+        assert "error: unknown slot 'per:shoe_size'" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
 
 class TestTuneCommand:
     def test_tunes_weights_and_thresholds(self, fixtures_dir,
@@ -75,6 +83,20 @@ class TestTuneCommand:
         assert set(tuned) == {"thresholds", "weights"}
         assert sum(tuned["weights"].values()) == pytest.approx(1.0)
         assert "per:location_of_birth" in tuned["thresholds"]
+
+    def test_unknown_slot_names_file_line_and_field(
+            self, fixtures_dir, trained_models_dir, tmp_path):
+        lines = (fixtures_dir / "dev_examples.jsonl").read_text().splitlines()
+        bad = json.loads(lines[0])
+        bad["slot"] = "per:shoe_size"
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text("\n".join([lines[0], json.dumps(bad)]) + "\n")
+        with pytest.raises(ValueError, match=(
+                f"{dev}: line 2: field 'slot' must be a slot of the bundled "
+                "slot table, got 'per:shoe_size'")):
+            main(["tune", "--dev", str(dev), "--models",
+                  str(trained_models_dir), "--out", str(tmp_path / "t.json")])
+        assert not (tmp_path / "t.json").exists()
 
     def test_tuned_file_feeds_run(self, fixtures_dir, trained_models_dir,
                                   tmp_path):

@@ -1,5 +1,6 @@
 """Entity tagging, candidate generation, impossible-filler filtering."""
 
+import json
 import random
 
 import pytest
@@ -10,12 +11,17 @@ from slotfill.extract import (
     NESpan,
     candidates_for_slot,
     filter_impossible,
-    location_granularity,
+    load_slot_configs,
     split_contexts,
     tag_entities,
 )
 from slotfill.mentions import ChainMention, CorefChain, Mention, find_name_mentions
-from slotfill.resources import default_gazetteers, default_slot_configs, default_validation
+from slotfill.resources import (
+    data_path,
+    default_gazetteers,
+    default_slot_configs,
+    default_validation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -223,18 +229,37 @@ class TestSlotTable:
         }
 
     def test_single_valued_have_top1(self, slots):
-        for cfg in slots.values():
-            if cfg.single_valued:
-                assert cfg.top_n == 1
+        raw = json.loads(data_path("slots.json").read_text(encoding="utf-8"))
+        single = {slot for slot, entry in raw.items() if entry["single_valued"]}
+        assert single
+        for slot in single:
+            assert slots[slot].top_n == 1
+
+    def test_single_valued_with_top_n_above_one_refused(self, tmp_path):
+        entry = {"filler_kind": {"kind": "ne_typed", "ne_type": "PER"},
+                 "single_valued": True, "top_n": 2, "threshold": 0.4,
+                 "inverse_slot": None, "canonical_slot": "per:spouse"}
+        path = tmp_path / "slots.json"
+        path.write_text(json.dumps({"per:spouse": entry}))
+        with pytest.raises(ValueError, match="slot per:spouse: single-valued"):
+            load_slot_configs(path)
 
     def test_canonical_slots_resolve(self, slots):
         for cfg in slots.values():
             assert cfg.canonical_slot in slots
             assert slots[cfg.canonical_slot].canonical_slot == cfg.canonical_slot
 
-    def test_location_granularity(self):
-        assert location_granularity("per:city_of_birth") == "city"
-        assert location_granularity("per:statesorprovinces_of_residence") == "stateorprovince"
-        assert location_granularity("org:country_of_headquarters") == "country"
-        assert location_granularity("per:location_of_birth") == "any"
-        assert location_granularity("per:age") is None
+    def test_location_granularity(self, slots):
+        assert slots["per:city_of_birth"].granularity == "city"
+        assert slots["per:statesorprovinces_of_residence"].granularity == "stateorprovince"
+        assert slots["org:country_of_headquarters"].granularity == "country"
+        assert slots["per:location_of_birth"].granularity == "any"
+        assert slots["per:age"].granularity is None
+
+    def test_filler_and_entity_types(self, slots):
+        assert slots["per:title"].filler_type == "TITLE"
+        assert slots["org:political_religious_affiliation"].filler_type == \
+            "RELIGION"
+        assert slots["org:students"].filler_type == "PER"
+        assert slots["org:students"].entity_type == "ORG"
+        assert slots["per:schools_attended"].entity_type == "PER"

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from slotfill.corpus import DocumentStore, make_document
+from slotfill.extract import tag_entities
 from slotfill.pipeline import (
     ClassifierView,
     EvalCounts,
@@ -216,6 +217,12 @@ class TestColdStart:
                       next_slot="org:city_of_headquarters")
         with pytest.raises(ValueError, match="cannot seed"):
             validate_cold_start(q, system_state.slot_configs)
+
+    def test_unknown_hop0_slot_named_before_hop1(self, system_state):
+        q = SlotQuery("qx", "Steve Miller", "PER", "per:shoe_size",
+                      next_slot="org:city_of_headquarters")
+        with pytest.raises(ValueError, match="unknown slot 'per:shoe_size'"):
+            run_cold_start(system_state, q, configure_run(2))
 
     def test_hop1_threshold_strictly_higher(self, system_state):
         from slotfill.postprocess import effective_threshold
@@ -499,7 +506,8 @@ def with_homonyms(state):
 
 def _count_memoised_work(state, monkeypatch):
     """Counters of the entities the queries reach, of retrieval per
-    (entity_name, entity_type) and of tagging per (doc_id, sentence_index),
+    (entity_name, entity_type) and of tagging per (entity, doc_id,
+    sentence_index), the entity being the one whose query is extracting,
     filled through wrappers of ``pipeline``'s names."""
     from slotfill import pipeline
 
@@ -508,9 +516,11 @@ def _count_memoised_work(state, monkeypatch):
     real_tag = pipeline.tag_entities
     where = {id(s): (d.id, s.index) for d in state.store for s in d.sentences}
     reached, retrieved, tagged = set(), Counter(), Counter()
+    current = []
 
     def extract(state, query, cfg):
-        reached.add((query.entity_name, query.entity_type))
+        current[:] = [(query.entity_name, query.entity_type)]
+        reached.add(current[0])
         return real_extract(state, query, cfg)
 
     def retrieve(index, name, ir_alias, entity_type):
@@ -518,7 +528,7 @@ def _count_memoised_work(state, monkeypatch):
         return real_retrieve(index, name, ir_alias, entity_type)
 
     def tag(sentence, gazetteers):
-        tagged[where[id(sentence)]] += 1
+        tagged[(current[0], *where[id(sentence)])] += 1
         return real_tag(sentence, gazetteers)
 
     monkeypatch.setattr(pipeline, "extract_candidates", extract)
@@ -550,6 +560,7 @@ class TestSharedMemo:
         # every entity reached is retrieved once, PER and GPE apart
         assert retrieved == Counter(reached)
         assert {("Steve Miller", "PER"), ("Steve Miller", "GPE")} <= reached
+        # each entity tags a sentence once
         assert tagged and max(tagged.values()) == 1
         assert {entity for entity, _, _ in state.sites} == reached
         docs = {t: [doc.id for doc, _ in _seeded(state, "Steve Miller", t)]
@@ -573,9 +584,9 @@ class TestSharedMemo:
             (tmp_path / "uncapped.tsv").read_bytes()
         # an entity asked again after another one is retrieved again
         assert sum(retrieved.values()) > len(reached)
-        assert len(state.sites) == 1
-        [sites] = state.sites.values()
-        assert {doc_id for doc_id, _ in state.tags} <= {d.id for d, *_ in sites}
+        # the one entry left is the last entity asked's
+        assert list(state.sites) == [(("Steve Miller", "GPE"), run_id == 4,
+                                      True)]
 
 
 COLLECTING = ("attach_coref_mentions", "nominal_anaphora_heuristic")
@@ -666,7 +677,8 @@ class TestCollectedMentionsMemo:
             for doc, sentence_index, mentions, spans, chains in sites:
                 assert type(mentions) is tuple and mentions
                 assert {m.sentence_index for m in mentions} == {sentence_index}
-                assert spans is state.tags[doc.id, sentence_index]
+                assert spans == tuple(tag_entities(
+                    doc.sentences[sentence_index], state.gazetteers))
                 assert chains == (state.coref.get(doc.id, []) if coref
                                   else [])
                 (on if coref else off).setdefault(

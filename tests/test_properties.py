@@ -39,6 +39,7 @@ from slotfill.postprocess import normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_gazetteers
 from helpers import DATE_RE
+from tag_oracle import gazetteer_entries
 from tag_oracle import tag_entities as oracle_tag_entities
 from token_oracle import document_tokens
 
@@ -140,7 +141,7 @@ OVERLAP_GAZETTEERS = Gazetteers({
 })
 _ENTRY_WORDS = sorted({" ".join(e[:n]) for g in (OVERLAP_GAZETTEERS,
                                                   default_gazetteers())
-                       for es in g.entries.values() for e in es
+                       for es in gazetteer_entries(g).values() for e in es
                        for n in range(1, len(e) + 1)})
 _TAG_PIECES = _ENTRY_WORDS + [
     "New York", "GEORGIA", "Paris Hilton Group", "March 4 , 1988",

@@ -1,7 +1,8 @@
 """No code in the package is reachable only from the tests: every
-module-level function, class and assigned name of ``src/slotfill``, and
-every annotated field of its classes, is read by the package itself or by
-the benchmark in ``perfbench/``."""
+module-level function, class and assigned name of ``src/slotfill``, every
+annotated field of its classes and every attribute its methods assign to
+``self``, is read by the package itself or by the benchmark in
+``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,24 @@ def class_fields(tree: ast.Module) -> set[tuple[str, str]]:
             and isinstance(stmt.target, ast.Name)}
 
 
+def instance_attributes(tree: ast.Module) -> set[tuple[str, str]]:
+    """The ``(class, attribute)`` pairs of every ``self.<name> = ...`` in a
+    class body."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in ast.walk(node):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            found.update((node.name, n.attr) for t in targets
+                         for n in ast.walk(t)
+                         if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name)
+                         and n.value.id == "self")
+    return found
+
+
 def read_attributes(tree: ast.Module) -> set[str]:
     """The attribute names a module loads; an assignment to an attribute
     does not read it."""
@@ -70,14 +89,15 @@ def _package_trees(root: Path) -> tuple[Path, dict[Path, ast.Module]]:
 
 def unread_fields(root: Path) -> dict[str, set[str]]:
     """Per module of ``root/src/slotfill``, the ``Class.field`` names of the
-    class fields that no module of the package and no non-test module of
-    ``root/perfbench`` reads as an attribute."""
+    class fields and ``self`` attributes that no module of the package and
+    no non-test module of ``root/perfbench`` reads as an attribute."""
     package, trees = _package_trees(root)
     read = set().union(*map(read_attributes, trees.values()))
     unread = {}
     for path, tree in trees.items():
         if path.is_relative_to(package):
-            names = {f"{cls}.{field}" for cls, field in class_fields(tree)
+            names = {f"{cls}.{field}" for cls, field
+                     in class_fields(tree) | instance_attributes(tree)
                      if field not in read}
             if names:
                 unread[str(path.relative_to(root))] = names
@@ -146,3 +166,24 @@ def test_fields_read_only_by_tests_or_only_written_are_reported(tmp_path):
         "def test_tested(cfg):\n    assert cfg.tested == 0\n")
     assert unread_fields(tmp_path) == {
         "src/slotfill/core.py": {"Config.written", "Config.tested"}}
+
+
+def test_instance_attributes_read_only_by_tests_are_reported(tmp_path):
+    package = tmp_path / "src" / "slotfill"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "core.py").write_text(
+        "class Table:\n"
+        "    def __init__(self, rows):\n"
+        "        self.rows = rows\n"
+        "        self.index, self.tested = {}, 0\n"
+        "        self.written: int = len(rows)\n"
+        "        self.written += 1\n\n"
+        "    def lookup(self, key):\n"
+        "        return self.index.get(key)\n")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "def report(table):\n    return len(table.rows)\n")
+    (tmp_path / "perfbench" / "test_run.py").write_text(
+        "def test_tested(table):\n    assert table.tested == 0\n")
+    assert unread_fields(tmp_path) == {
+        "src/slotfill/core.py": {"Table.tested", "Table.written"}}
