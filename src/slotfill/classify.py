@@ -241,12 +241,18 @@ def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
 
 def load_svm(path: str | Path) -> LinearModel:
     with np.load(path) as data:
-        if "indices" not in data.files:
-            raise ValueError(f"{path}: not a sparse SVM model file (older "
-                             "dense layout?); retrain the model")
-        return LinearModel(dict(zip(data["indices"].tolist(),
-                                    data["values"].tolist())),
-                           float(data["bias"][0]), int(data["bits"][0]))
+        return svm_from_arrays(data, path)
+
+
+def svm_from_arrays(data, path: str | Path) -> LinearModel:
+    """The SVM that ``save_svm`` wrote to ``path``, from its opened
+    arrays."""
+    if "indices" not in data.files:
+        raise ValueError(f"{path}: not a sparse SVM model file (older "
+                         "dense layout?); retrain the model")
+    return LinearModel(dict(zip(data["indices"].tolist(),
+                                data["values"].tolist())),
+                       float(data["bias"][0]), int(data["bits"][0]))
 
 
 def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float:

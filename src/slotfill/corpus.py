@@ -47,8 +47,9 @@ _POSSESSIVE = frozenset(("'s", "'S"))
 @dataclass(frozen=True, slots=True)
 class Sentence:
     """One sentence as two parallel columns: token ``texts`` and their
-    lowercase forms (``lower[i] is texts[i]`` when the word is lowercase
-    already)."""
+    lowercase forms.  Both columns hold the word table's strings (see
+    ``make_document``), so ``lower[i] is texts[i]`` exactly when the word
+    is lowercase already, and equal words of one corpus are one object."""
     index: int
     texts: tuple[str, ...]
     lower: tuple[str, ...]
@@ -195,8 +196,26 @@ def tokenize(text: str) -> list[str]:
     return words
 
 
-def make_document(doc_id: str, genre: str, text: str) -> Document:
-    """Build a preprocessed, sentence-split, tokenized document."""
+class WordTable(dict):
+    """One corpus's word table: maps each word to the pair of strings its
+    tokens use, the first string seen for the word and the table's string
+    for its lowercase form (the same object when the word is lowercase),
+    so each distinct word is one string and is lowered once."""
+    __slots__ = ()
+
+    def __missing__(self, word: str) -> tuple[str, str]:
+        low = word.lower()
+        pair = self[word] = (word, word if low == word else self[low][0])
+        return pair
+
+
+def make_document(doc_id: str, genre: str, text: str,
+                  table: WordTable | None = None) -> Document:
+    """Build a preprocessed, sentence-split, tokenized document.
+
+    Every token and lowered token is taken from the corpus's word
+    ``table`` (new words are added), so each distinct word of the corpus
+    is stored once.  Without one, the document gets a table of its own."""
     if genre not in GENRES:
         raise ValueError(f"unknown genre {genre!r} for document {doc_id!r}")
     if not doc_id:
@@ -210,14 +229,16 @@ def make_document(doc_id: str, genre: str, text: str) -> Document:
     else:
         clean = text
 
+    if table is None:
+        table = WordTable()
     sentences = []
     for span_start, span_end in split_sentences(clean, genre):
         # a trimmed span starts with a word, so it has a token
         words = tokenize(clean[span_start:span_end])
         if forum:
             words = [normalize_case(w) for w in words]
-        lower = [l if l != w else w for w, l in zip(words, map(str.lower, words))]
-        sentences.append(Sentence(len(sentences), tuple(words), tuple(lower)))
+        texts, lower = zip(*map(table.__getitem__, words))
+        sentences.append(Sentence(len(sentences), texts, lower))
     return Document(doc_id, tuple(sentences))
 
 
@@ -225,9 +246,11 @@ def ingest_documents(path: str | Path) -> DocumentStore:
     """Ingest a JSON Lines corpus file.
 
     Malformed lines are reported in ``store.errors`` (with line numbers) and
-    skipped; a duplicate document id raises.
+    skipped; a duplicate document id raises.  All documents share one word
+    table, so each distinct word is one string.
     """
     store = DocumentStore()
+    table = WordTable()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -242,7 +265,8 @@ def ingest_documents(path: str | Path) -> DocumentStore:
             if problem:
                 store.errors.append(f"line {line_no}: {problem}")
                 continue
-            store.add(make_document(record["id"], record["genre"], record["text"]))
+            store.add(make_document(record["id"], record["genre"],
+                                    record["text"], table))
     if store.errors:
         for err in store.errors:
             log.warning("%s: %s", path, err)

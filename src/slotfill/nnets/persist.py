@@ -53,7 +53,17 @@ def save_model(model, path: str | Path, slot: str = "") -> None:
 
 def load_model(path: str | Path):
     with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        params = {k[len("param_"):]: data[k].copy() for k in data.files
-                  if k.startswith("param_")}
-    return model_from_header(header, params)
+        return model_from_arrays(read_header(data), data)
+
+
+def read_header(data) -> dict:
+    """The JSON header of an opened model file."""
+    return json.loads(bytes(data["header"]).decode("utf-8"))
+
+
+def model_from_arrays(header: dict, data):
+    """The CNN or RNN of an opened model file whose header is ``header``
+    (each array is read into memory of its own)."""
+    return model_from_header(header, {k[len("param_"):]: data[k]
+                                      for k in data.files
+                                      if k.startswith("param_")})

@@ -22,8 +22,8 @@ import numpy as np
 from .classify import (
     check_weights,
     combine_scores,
-    load_svm,
     match_patterns,
+    svm_from_arrays,
     svm_score,
 )
 from .corpus import DocumentStore, ingest_documents
@@ -39,7 +39,8 @@ from .mentions import (
     merge_mentions,
     nominal_anaphora_heuristic,
 )
-from .nnets import load_model, rnn_ensemble_score
+from .nnets import rnn_ensemble_score
+from .nnets.persist import model_from_arrays, read_header
 from .nnets.rnn import VARIANTS as RNN_VARIANTS
 from .postprocess import (
     Answer,
@@ -136,13 +137,14 @@ class ModelRegistry:
         for path in sorted(directory.glob("*.npz")):
             with np.load(path) as data:
                 if "header" in data.files:
-                    header = json.loads(bytes(data["header"]).decode("utf-8"))
+                    header = read_header(data)
                     slot = header.get("slot", "")
                     kind = header["kind"]
+                    model = model_from_arrays(header, data)
                 else:
                     slot = bytes(data["slot"]).decode("utf-8")
                     kind = "svm"
-            model = load_svm(path) if kind == "svm" else load_model(path)
+                    model = svm_from_arrays(data, path)
             key = (slot, kind,
                    RNN_VARIANTS.index(model.variant) if kind == "rnn" else 0)
             if key in found:
@@ -242,7 +244,7 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
     state = SystemState(
         store=store,
         index=build_index(store),
-        slot_configs=resources.default_slot_configs(),
+        slot_configs=dict(resources.default_slot_configs()),
         validation=resources.default_validation(),
         gazetteers=resources.default_gazetteers(),
         patterns=resources.default_patterns(),

@@ -4,9 +4,11 @@ and the JSON Lines reader that the query, KB and example loaders share."""
 
 from __future__ import annotations
 
+import functools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,9 +55,12 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...],
             yield line_no, rec
 
 
-def default_slot_configs():
+@functools.cache
+def default_slot_configs() -> Mapping:
+    """The bundled slot table, parsed once per process; the view is
+    read-only, so a caller that changes a slot's settings copies it."""
     from .extract import load_slot_configs
-    return load_slot_configs(data_path("slots.json"))
+    return MappingProxyType(load_slot_configs(data_path("slots.json")))
 
 
 def default_validation() -> dict:

@@ -85,17 +85,18 @@ class TestTuneCommand:
         assert "per:location_of_birth" in tuned["thresholds"]
 
     def test_unknown_slot_names_file_line_and_field(
-            self, fixtures_dir, trained_models_dir, tmp_path):
+            self, fixtures_dir, trained_models_dir, tmp_path, capsys):
         lines = (fixtures_dir / "dev_examples.jsonl").read_text().splitlines()
         bad = json.loads(lines[0])
         bad["slot"] = "per:shoe_size"
         dev = tmp_path / "dev.jsonl"
         dev.write_text("\n".join([lines[0], json.dumps(bad)]) + "\n")
-        with pytest.raises(ValueError, match=(
-                f"{dev}: line 2: field 'slot' must be a slot of the bundled "
-                "slot table, got 'per:shoe_size'")):
-            main(["tune", "--dev", str(dev), "--models",
-                  str(trained_models_dir), "--out", str(tmp_path / "t.json")])
+        rc = main(["tune", "--dev", str(dev), "--models",
+                   str(trained_models_dir), "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {dev}: line 2: field 'slot' must be a slot of the bundled "
+            "slot table, got 'per:shoe_size'\n")
         assert not (tmp_path / "t.json").exists()
 
     def test_tuned_file_feeds_run(self, fixtures_dir, trained_models_dir,
@@ -131,6 +132,34 @@ class TestRunAndScore:
         assert str(trained_models_dir) in err
         assert "no rnn model for slot 'per:location_of_residence'" in err
         assert not out.exists()
+
+    def test_bad_queries_file_is_an_error_line(self, fixtures_dir,
+                                               trained_models_dir, tmp_path,
+                                               capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id": "q1", "name": "Steve Miller", '
+                           '"type": "PER", "slot": "per:nonsense"}\n')
+        out = tmp_path / "answers.tsv"
+        rc = main(["run", "--queries", str(queries),
+                   "--corpus", str(fixtures_dir / "corpus.jsonl"),
+                   "--models", str(trained_models_dir),
+                   "--run", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {queries}: line 1: field 'slot' must be a slot of the "
+            "bundled slot table, got 'per:nonsense'\n")
+        assert not out.exists()
+
+    def test_missing_corpus_is_an_error_line(self, fixtures_dir, tmp_path,
+                                             capsys):
+        corpus = tmp_path / "absent.jsonl"
+        rc = main(["run", "--queries", str(fixtures_dir / "queries.jsonl"),
+                   "--corpus", str(corpus), "--run", "2",
+                   "--out", str(tmp_path / "answers.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(corpus) in err
+        assert err.count("\n") == 1
 
     def test_no_coref_flag(self, fixtures_dir, trained_models_dir, tmp_path):
         out = tmp_path / "answers.tsv"

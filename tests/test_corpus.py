@@ -168,6 +168,14 @@ class TestTokenize:
         assert tokenize('("hello")') == ["(", '"', "hello", '"', ")"]
 
 
+class TestWordTable:
+    def test_one_string_per_distinct_word(self, fixtures_dir):
+        store = ingest_documents(fixtures_dir / "corpus.jsonl")
+        tokens = [t for doc in store for s in doc.sentences
+                  for t in s.texts + s.lower]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+
+
 class TestDocumentInvariants:
     def test_news_round_trip(self):
         text = "Dr. Smith arrived. He found Obama's notes,  then left."

@@ -361,6 +361,34 @@ class TestTunedFile:
         assert state.slot_configs["per:age"].threshold == 0.9
         assert "per:no_such_slot" not in state.slot_configs
 
+    def test_thresholds_stay_in_their_state(self, fixtures_dir, tmp_path,
+                                            monkeypatch):
+        from slotfill import extract
+        parses = []
+
+        def counted(path):
+            parses.append(path)
+            return load_slot_configs(path)
+
+        load_slot_configs = extract.load_slot_configs
+        monkeypatch.setattr(extract, "load_slot_configs", counted)
+        resources.default_slot_configs.cache_clear()
+        default = resources.default_slot_configs()["per:age"].threshold
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps({"thresholds": {"per:age": 0.99}}))
+        tuned_state = load_system(fixtures_dir / "corpus.jsonl",
+                                  tuned_path=tuned)
+        plain = load_system(fixtures_dir / "corpus.jsonl")
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id": "q", "name": "Ann", "type": "PER", '
+                           '"slot": "per:age"}\n')
+        assert load_queries(queries)[0].slot == "per:age"
+        assert tuned_state.slot_configs["per:age"].threshold == 0.99
+        assert plain.slot_configs["per:age"].threshold == default != 0.99
+        assert resources.default_slot_configs()["per:age"].threshold == default
+        assert len(parses) == 1
+        with pytest.raises(TypeError):
+            resources.default_slot_configs()["per:age"] = None
 
     def test_per_slot_weights_rejected_naming_file(self, fixtures_dir,
                                                    tmp_path):

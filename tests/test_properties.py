@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,12 @@ from slotfill.classify import (
     svm_score,
     svm_train,
 )
-from slotfill.corpus import make_document, strip_quote_spans, tokenize
+from slotfill.corpus import (
+    ingest_documents,
+    make_document,
+    strip_quote_spans,
+    tokenize,
+)
 from slotfill.extract import Gazetteers, split_contexts, tag_entities
 from slotfill.mentions import bounded_levenshtein, split_pieces
 from slotfill.nnets import CNNClassifier, EmbeddingMatrix
@@ -234,6 +240,45 @@ class TestColumnarSentences:
                 for j in range(i + 1, n + 1):
                     assert " ".join(sent.lower[i:j]) \
                         == " ".join(sent.texts[i:j]).lower()
+
+
+# mixed-case words (with letters whose lowercase form is longer, or equal
+# to another word), sentence ends, possessives and quote tags
+mixed_words = st.one_of(
+    st.text(alphabet="aAbB\u0130\u03a3\u00df", min_size=1, max_size=4),
+    st.sampled_from([".", "!", "'s", ",", "<quote>", "</quote>", "\n"]))
+corpora = st.lists(
+    st.tuples(st.sampled_from(["news", "forum"]),
+              st.lists(mixed_words, max_size=30).map(" ".join)),
+    min_size=1, max_size=5)
+
+
+class TestWordTable:
+    """``ingest_documents``'s one word table per corpus."""
+
+    @given(corpora)
+    @example([("news", "The the THE tHe ."), ("forum", "tHe The the")])
+    def test_one_string_per_word(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"d{i}", "genre": genre, "text": text}) + "\n"
+            for i, (genre, text) in enumerate(corpus)), encoding="utf-8")
+        store = ingest_documents(path)
+        seen: dict[str, str] = {}
+        for doc, (genre, text) in zip(store, corpus, strict=True):
+            oracle = document_tokens(genre, text)
+            alone = make_document(doc.id, genre, text)
+            assert doc == alone
+            for sent, toks in zip(doc.sentences, oracle, strict=True):
+                assert sent.texts == tuple(t.text for t in toks)
+                assert sent.lower == tuple(t.text.lower() for t in toks)
+                for word, low in zip(sent.texts, sent.lower, strict=True):
+                    assert (low is word) == (low == word)
+                    assert seen.setdefault(word, word) is word
+                    assert seen.setdefault(low, low) is low
+            for sent in alone.sentences:
+                for word, low in zip(sent.texts, sent.lower, strict=True):
+                    assert (low is word) == (low == word)
 
 
 class TestSplitContexts:
