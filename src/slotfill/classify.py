@@ -31,7 +31,7 @@ log = logging.getLogger(__name__)
 ENTITY_SLOT = "<ENTITY>"
 FILLER_SLOT = "<FILLER>"
 MAX_WILDCARD = 5
-DEFAULT_HASH_BITS = 18
+HASH_BITS = 18
 
 CLASSIFIER_ORDER = ("pattern", "svm", "cnn", "rnn")
 
@@ -125,9 +125,9 @@ def match_patterns(view, patterns: list[Pattern]) -> float:
 # a run hashes about a thousand distinct feature names; the bound keeps a
 # long-lived process from growing without limit
 @functools.lru_cache(maxsize=1 << 16)
-def _hash_feature(name: str, bits: int) -> int:
+def _hash_feature(name: str) -> int:
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % (1 << bits)
+    return int.from_bytes(digest, "big") % (1 << HASH_BITS)
 
 
 def _middle_length_bucket(n: int) -> str:
@@ -138,14 +138,14 @@ def _middle_length_bucket(n: int) -> str:
     return "6+"
 
 
-def featurize(example, bits: int = DEFAULT_HASH_BITS) -> dict[int, float]:
+def featurize(example) -> dict[int, float]:
     """Hashed sparse features: per-segment unigrams (L:/M:/R: prefixes),
     middle bigrams, the argument-order flag, and a middle-length bucket."""
     features: dict[int, float] = {}
 
-    def add(name: str, value: float = 1.0) -> None:
-        idx = _hash_feature(name, bits)
-        features[idx] = features.get(idx, 0.0) + value
+    def add(name: str) -> None:
+        idx = _hash_feature(name)
+        features[idx] = features.get(idx, 0.0) + 1.0
 
     for prefix, segment in (("L", example.left), ("M", example.middle),
                             ("R", example.right)):
@@ -165,7 +165,6 @@ class LinearModel:
     each nonzero weight to its value; every other weight is zero."""
     weights: dict[int, float]
     bias: float
-    feature_hash_bits: int = DEFAULT_HASH_BITS
 
 
 # the SGD step size and L2 decay of svm_train
@@ -177,12 +176,11 @@ SVM_L2 = 1e-4
 class SVMConfig:
     epochs: int = 20
     seed: int = 13
-    hash_bits: int = DEFAULT_HASH_BITS
 
 
 def svm_margin(model: LinearModel, example) -> float:
     weights = model.weights
-    features = featurize(example, model.feature_hash_bits)
+    features = featurize(example)
     return float(sum(weights.get(i, 0.0) * v for i, v in features.items())
                  + model.bias)
 
@@ -210,9 +208,9 @@ def svm_train(dataset: list[tuple[object, int]],
         raise ValueError("dataset must be nonempty")
     config = config or SVMConfig()
     rng = np.random.default_rng(config.seed)
-    weights = np.zeros(1 << config.hash_bits)
+    weights = np.zeros(1 << HASH_BITS)
     bias = 0.0
-    featurized = [(featurize(ex, config.hash_bits), 1 if label else -1)
+    featurized = [(featurize(ex), 1 if label else -1)
                   for ex, label in dataset]
     for _ in range(config.epochs):
         for i in rng.permutation(len(featurized)):
@@ -225,7 +223,7 @@ def svm_train(dataset: list[tuple[object, int]],
                 bias += SVM_LEARNING_RATE * y
     nonzero = np.flatnonzero(weights)
     return LinearModel(dict(zip(nonzero.tolist(), weights[nonzero].tolist())),
-                       bias, config.hash_bits)
+                       bias)
 
 
 def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
@@ -235,7 +233,7 @@ def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
              values=np.array([model.weights[i] for i in indices],
                              dtype=np.float64),
              bias=np.array([model.bias]),
-             bits=np.array([model.feature_hash_bits]),
+             bits=np.array([HASH_BITS]),
              slot=np.frombuffer(slot.encode("utf-8"), dtype=np.uint8))
 
 
@@ -250,9 +248,13 @@ def svm_from_arrays(data, path: str | Path) -> LinearModel:
     if "indices" not in data.files:
         raise ValueError(f"{path}: not a sparse SVM model file (older "
                          "dense layout?); retrain the model")
+    bits = int(data["bits"][0])
+    if bits != HASH_BITS:
+        raise ValueError(f"{path}: SVM features hash to {bits} bits, not "
+                         f"{HASH_BITS}; retrain the model")
     return LinearModel(dict(zip(data["indices"].tolist(),
                                 data["values"].tolist())),
-                       float(data["bias"][0]), int(data["bits"][0]))
+                       float(data["bias"][0]))
 
 
 def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float:

@@ -64,11 +64,9 @@ class Document:
 class DocumentStore:
     """Immutable-after-ingestion collection of documents, keyed by id."""
 
-    def __init__(self, documents: list[Document] | None = None):
+    def __init__(self):
         self._docs: dict[str, Document] = {}
         self.errors: list[str] = []
-        for doc in documents or []:
-            self.add(doc)
 
     def add(self, doc: Document) -> None:
         if doc.id in self._docs:

@@ -214,9 +214,9 @@ class SystemState:
     kb: list
     location_maps: object
     weights: dict
-    coref: dict = field(default_factory=dict)
+    coref: dict
     models: ModelRegistry = field(default_factory=ModelRegistry)
-    sites: dict = field(default_factory=dict)
+    sites: dict = field(init=False, default_factory=dict)
 
 
 def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
@@ -253,10 +253,9 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
         kb=resources.default_kb(),
         location_maps=resources.default_location_maps(),
         weights=weights,
+        coref=load_coref_resource(coref_path) if coref_path else {},
         models=models,
     )
-    if coref_path:
-        state.coref = load_coref_resource(coref_path)
     for slot, theta in tuned.get("thresholds", {}).items():
         if slot in state.slot_configs:
             state.slot_configs[slot] = replace(state.slot_configs[slot],

@@ -10,7 +10,7 @@ matches the prediction at high confidence, retraining between batches.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from .classify import (
     ENTITY_SLOT,
     FILLER_SLOT,
     Pattern,
-    SVMConfig,
     combine_scores,
     match_patterns,
     svm_score,
@@ -218,7 +217,6 @@ class SelectionConfig:
     k: int = 5
     tau: float = 0.8
     seed: int = 13
-    svm_config: SVMConfig = field(default_factory=SVMConfig)
 
     def __post_init__(self):
         if self.k < 1:
@@ -249,7 +247,7 @@ def select_training_data(noisy: list[LabeledExample],
     for batch in batches:
         training = [(ex, ex.label) for ex in seed_data] \
             + [(ex, ex.label) for ex in selected]
-        model = svm_train(training, cfg.svm_config)
+        model = svm_train(training)
         for i in batch:
             ex = noisy[int(i)]
             score = svm_score(model, ex)

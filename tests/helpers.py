@@ -1,7 +1,7 @@
-"""Code that only the tests use: the synthetic separable and label-noised
-relation datasets, writing labeled examples, the F1 of a results row, the
-form of a normalised date, a network's accuracy on a dataset and the
-finite-difference gradient checker of the networks."""
+"""Code that only the tests use: a store of news documents, the synthetic
+separable and label-noised relation datasets, writing labeled examples, the
+F1 of a results row, the form of a normalised date, a network's accuracy on
+a dataset and the finite-difference gradient checker of the networks."""
 
 from __future__ import annotations
 
@@ -11,12 +11,22 @@ from pathlib import Path
 
 import numpy as np
 
+from slotfill.corpus import DocumentStore, make_document
 from slotfill.nnets.persist import model_from_header, model_header
 from slotfill.traindata import LabeledExample
 
 # what ``postprocess.normalize_date`` returns: YYYY-MM-DD, with XX for an
 # unknown month or day
 DATE_RE = re.compile(r"^\d{4}-(\d{2}|XX)-(\d{2}|XX)$")
+
+
+def news_store(texts: dict[str, str]) -> DocumentStore:
+    """A store of one news document per ``doc_id: text``, in order."""
+    store = DocumentStore()
+    for doc_id, text in texts.items():
+        store.add(make_document(doc_id, "news", text))
+    return store
+
 
 # ---------------------------------------------------------------------------
 # synthetic datasets: a cleanly separable relation corpus for learnability

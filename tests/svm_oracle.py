@@ -1,5 +1,5 @@
 """Slow reference for the linear SVM: the model as a dense array of all
-2^bits weights, trained, scored and saved as before the model kept only its
+2^HASH_BITS weights, trained, scored and saved as before the model kept only its
 nonzero weights.  Tests use it as the oracle for ``classify``'s sparse
 ``LinearModel``: equal weights after training, bit-identical margins and
 scores, and byte-identical saved arrays."""
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from slotfill.classify import (
-    DEFAULT_HASH_BITS,
+    HASH_BITS,
     SVM_L2,
     SVM_LEARNING_RATE,
     SVM_SCORE_SCALE,
@@ -26,19 +26,18 @@ from slotfill.classify import (
 class LinearModel:
     weights: np.ndarray
     bias: float
-    feature_hash_bits: int = DEFAULT_HASH_BITS
 
 
-def dense(weights: dict[int, float], bias: float, bits: int) -> LinearModel:
+def dense(weights: dict[int, float], bias: float) -> LinearModel:
     """The dense model holding the sparse ``weights``."""
-    array = np.zeros(1 << bits)
+    array = np.zeros(1 << HASH_BITS)
     for i, w in weights.items():
         array[i] = w
-    return LinearModel(array, bias, bits)
+    return LinearModel(array, bias)
 
 
 def svm_margin(model: LinearModel, example) -> float:
-    features = featurize(example, model.feature_hash_bits)
+    features = featurize(example)
     return float(sum(model.weights[i] * v for i, v in features.items())
                  + model.bias)
 
@@ -55,8 +54,8 @@ def svm_train(dataset: list[tuple[object, int]],
               config: SVMConfig | None = None) -> LinearModel:
     config = config or SVMConfig()
     rng = np.random.default_rng(config.seed)
-    model = LinearModel(np.zeros(1 << config.hash_bits), 0.0, config.hash_bits)
-    featurized = [(featurize(ex, config.hash_bits), 1 if label else -1)
+    model = LinearModel(np.zeros(1 << HASH_BITS), 0.0)
+    featurized = [(featurize(ex), 1 if label else -1)
                   for ex, label in dataset]
     for _ in range(config.epochs):
         for i in rng.permutation(len(featurized)):
@@ -75,5 +74,5 @@ def save_svm(model: LinearModel, path: str | Path, slot: str = "") -> None:
     indices = np.flatnonzero(model.weights)
     np.savez(path, indices=indices, values=model.weights[indices],
              bias=np.array([model.bias]),
-             bits=np.array([model.feature_hash_bits]),
+             bits=np.array([HASH_BITS]),
              slot=np.frombuffer(slot.encode("utf-8"), dtype=np.uint8))

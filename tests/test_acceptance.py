@@ -28,7 +28,6 @@ from slotfill.postprocess import effective_threshold, normalize_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_slot_configs
 from slotfill.retrieval import build_index, query_and, query_or, retrieve_for_entity, text_terms
-from slotfill.corpus import DocumentStore, make_document
 from slotfill.traindata import SelectionConfig, select_training_data
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     gradient_check,
     make_noisy_selection_data,
     make_separable_dataset,
+    news_store,
     purity,
 )
 from test_pipeline import COREF_ABLATION_RESULTS, RUN_RESULTS
@@ -159,8 +159,7 @@ def test_criterion_04_retrieval_oracle():
     for i in range(100):
         n = rng.randint(400, 1000) if i < 5 else rng.randint(1, 150)
         texts = _random_corpus(rng, n)
-        store = DocumentStore([make_document(d, "news", t)
-                               for d, t in texts.items()])
+        store = news_store(texts)
         index = build_index(store)
         for _ in range(3):
             terms = rng.sample([f"w{i}" for i in range(25)],
@@ -174,8 +173,7 @@ def test_criterion_04_retrieval_oracle():
             if not and_ids <= or_ids:
                 mismatches += 1
     big = {f"d{i:03d}": "acme corp report" for i in range(150)}
-    big_store = DocumentStore([make_document(d, "news", t)
-                               for d, t in big.items()])
+    big_store = news_store(big)
     cap_ok = len(retrieve_for_entity(build_index(big_store), "Acme Corp",
                                      entity_type="ORG")) == 100
     ok = mismatches == 0 and cap_ok
@@ -221,9 +219,7 @@ def test_criterion_06_selection_loop_purity():
     for seed in range(10):
         seed_data, noisy = make_noisy_selection_data(noise_rate=0.3, seed=seed)
         input_purity = purity(noisy)
-        cfg = SelectionConfig(k=5, tau=0.8, seed=seed,
-                              svm_config=SVMConfig(epochs=10, seed=seed,
-                                                   hash_bits=14))
+        cfg = SelectionConfig(k=5, tau=0.8, seed=seed)
         selected = select_training_data(noisy, seed_data, cfg)
         selected_purity = purity(selected)
         if not selected or selected_purity < 0.85 \

@@ -1,12 +1,14 @@
 """Patterns, featurization, the linear classifier, score interpolation."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from slotfill.classify import (
+    HASH_BITS,
     LinearModel,
     Pattern,
     SVMConfig,
@@ -137,7 +139,7 @@ class TestFeaturize:
     def test_segment_prefixes_disjoint(self):
         # the same word hashed under different segment prefixes gets its own key
         from slotfill.classify import _hash_feature
-        keys = {_hash_feature(f"{p}:word", 18) for p in ("L", "M", "R")}
+        keys = {_hash_feature(f"{p}:word") for p in ("L", "M", "R")}
         assert len(keys) == 3
 
 
@@ -154,20 +156,20 @@ def separable_dataset(n=40, seed=7):
 
 class TestSVM:
     def test_zero_weights_score_half(self):
-        model = LinearModel({}, 0.0, 18)
+        model = LinearModel({}, 0.0)
         assert svm_score(model, Example((), ("x",), ())) == pytest.approx(0.5)
 
     def test_extreme_margins_stay_in_unit_interval(self):
         ex = Example((), ("x",), ())
         for bias in (-300.0, -1e6, -1e300, 300.0, 1e300):
-            model = LinearModel({}, bias, 4)
+            model = LinearModel({}, bias)
             assert 0.0 <= svm_score(model, ex) <= 1.0
-        assert svm_score(LinearModel({}, -300.0, 18), ex) == 0.0
+        assert svm_score(LinearModel({}, -300.0), ex) == 0.0
 
     def test_ordinary_margins_bit_identical_to_logistic(self):
         ex = Example((), ("x",), ())
         for margin in np.linspace(-236.0, 236.0, 947):
-            model = LinearModel({}, float(margin), 4)
+            model = LinearModel({}, float(margin))
             expected = 1.0 / (1.0 + math.exp(-3.0 * float(margin)))
             assert svm_score(model, ex) == expected
 
@@ -206,19 +208,26 @@ class TestSVM:
         save_svm(model, p, slot="per:age")
         loaded = load_svm(p)
         assert loaded.weights == model.weights
-        assert (loaded.bias, loaded.feature_hash_bits) == \
-            (model.bias, model.feature_hash_bits)
+        assert loaded.bias == model.bias
         ex = Example((), ("works", "for"), ())
         assert svm_score(loaded, ex) == svm_score(model, ex)
         with np.load(p) as data:
-            assert all(data[k].size < 1 << model.feature_hash_bits
-                       for k in data.files)
+            assert all(data[k].size < 1 << HASH_BITS for k in data.files)
 
     def test_dense_file_rejected(self, tmp_path):
         p = tmp_path / "dense.svm.npz"
         np.savez(p, weights=np.zeros(1 << 4), bias=np.array([0.0]),
                  bits=np.array([4]), slot=np.frombuffer(b"per:age", np.uint8))
         with pytest.raises(ValueError, match=r"dense\.svm\.npz.*retrain"):
+            load_svm(p)
+
+    def test_other_hash_width_rejected(self, tmp_path):
+        p = tmp_path / "narrow.svm.npz"
+        np.savez(p, indices=np.array([3]), values=np.array([0.5]),
+                 bias=np.array([0.0]), bits=np.array([14]),
+                 slot=np.frombuffer(b"per:age", np.uint8))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: SVM "
+                           rf"features hash to 14 bits, not {HASH_BITS};"):
             load_svm(p)
 
 

@@ -1,7 +1,9 @@
 """Command-line entry points: train, tune, run, score."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from slotfill.cli import main, seed_from_env
@@ -148,6 +150,24 @@ class TestRunAndScore:
         assert capsys.readouterr().err == (
             f"error: {queries}: line 1: field 'slot' must be a slot of the "
             "bundled slot table, got 'per:nonsense'\n")
+        assert not out.exists()
+
+    def test_svm_of_another_hash_width_is_an_error_line(
+            self, fixtures_dir, trained_models_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(trained_models_dir, models)
+        svm = next(models.glob("*.svm.npz"))
+        with np.load(svm) as data:
+            arrays = {k: data[k] for k in data.files}
+        np.savez(svm, **{**arrays, "bits": np.array([14])})
+        out = tmp_path / "answers.tsv"
+        rc = main(["run", "--queries", str(fixtures_dir / "queries.jsonl"),
+                   "--corpus", str(fixtures_dir / "corpus.jsonl"),
+                   "--models", str(models), "--run", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {svm}: SVM features hash to 14 bits, not 18; retrain "
+            "the model\n")
         assert not out.exists()
 
     def test_missing_corpus_is_an_error_line(self, fixtures_dir, tmp_path,

@@ -3,10 +3,11 @@
 import json
 import shutil
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from slotfill.corpus import DocumentStore, make_document
+from slotfill.corpus import make_document
 from slotfill.extract import tag_entities
 from slotfill.pipeline import (
     ClassifierView,
@@ -33,7 +34,7 @@ from slotfill.query import SlotQuery
 from slotfill.retrieval import build_index
 from slotfill import resources
 
-from helpers import f1
+from helpers import f1, news_store
 
 # reference (P, R, F1) operating points, per hop and overall, for the five
 # runs and for the coreference ablation; the scorer's harmonic mean must
@@ -236,8 +237,7 @@ class TestColdStart:
 class TestMissingModel:
     @staticmethod
     def modelless_state() -> SystemState:
-        store = DocumentStore([
-            make_document("d1", "news", "Steve Miller married Anna Miller.")])
+        store = news_store({"d1": "Steve Miller married Anna Miller."})
         return SystemState(
             store=store,
             index=build_index(store),
@@ -250,6 +250,7 @@ class TestMissingModel:
             kb=[],
             location_maps=resources.default_location_maps(),
             weights=resources.default_weights(),
+            coref={},
             models=ModelRegistry(),
         )
 
@@ -1005,7 +1006,7 @@ class TestClassifierLessScoring:
         q = SlotQuery("qx", "Maria Gomez", "PER", "per:charges")
         candidates = extract_candidates(system_state, q, cfg)
         assert candidates
-        bare = SystemState(**{**system_state.__dict__, "models": ModelRegistry()})
+        bare = replace(system_state, models=ModelRegistry())
         scores = _score_candidates(bare, cfg, candidates, "per:charges", False)
         assert len(scores) == len(candidates)
         for score in scores:

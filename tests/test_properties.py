@@ -16,6 +16,7 @@ import token_oracle
 from slotfill.classify import (
     ENTITY_SLOT,
     FILLER_SLOT,
+    HASH_BITS,
     MAX_WILDCARD,
     LinearModel,
     Pattern,
@@ -437,20 +438,20 @@ def svm_cases(draw):
     """A model as a dict of weights, some on the features of the drawn view
     (the rest of the view's features absent from the dict), others
     elsewhere in the hashed space, and the view."""
-    bits = draw(st.sampled_from([4, 8, 18]))
     view = draw(svm_views)
-    own = sorted(featurize(view, bits))
+    own = sorted(featurize(view))
     present = draw(st.lists(st.sampled_from(own), unique=True))
-    elsewhere = draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=6))
+    elsewhere = draw(st.lists(st.integers(0, (1 << HASH_BITS) - 1),
+                              max_size=6))
     weights = {i: draw(svm_weights) for i in present + elsewhere}
-    return LinearModel(weights, draw(svm_biases), bits), view
+    return LinearModel(weights, draw(svm_biases)), view
 
 
 def _cancelling_case():
     """Weights whose sum depends on the order of addition: 1e16 + 1 - 1e16."""
     view = ClassifierView((), ("a",), (), True)
-    first, second, third = featurize(view, 18)
-    return LinearModel({first: 1e16, second: 1.0, third: -1e16}, 0.0, 18), view
+    first, second, third = featurize(view)
+    return LinearModel({first: 1e16, second: 1.0, third: -1e16}, 0.0), view
 
 
 def _saved(save, model) -> dict:
@@ -469,13 +470,12 @@ class TestSVMOracle:
 
     @settings(max_examples=300)
     @given(svm_cases())
-    @example((LinearModel({}, 0.0, 18), ClassifierView((), ("x",), (), True)))
-    @example((LinearModel({}, -1e300, 4), ClassifierView((), (), (), False)))
+    @example((LinearModel({}, 0.0), ClassifierView((), ("x",), (), True)))
+    @example((LinearModel({}, -1e300), ClassifierView((), (), (), False)))
     @example(_cancelling_case())
     def test_scores_bit_identical_to_dense(self, case):
         model, view = case
-        dense = svm_oracle.dense(model.weights, model.bias,
-                                 model.feature_hash_bits)
+        dense = svm_oracle.dense(model.weights, model.bias)
         assert svm_margin(model, view).hex() == \
             svm_oracle.svm_margin(dense, view).hex()
         assert svm_score(model, view).hex() == \
@@ -485,24 +485,37 @@ class TestSVMOracle:
     @given(svm_cases())
     def test_saved_arrays_byte_identical_to_dense(self, case):
         model, _ = case
-        dense = svm_oracle.dense(model.weights, model.bias,
-                                 model.feature_hash_bits)
+        dense = svm_oracle.dense(model.weights, model.bias)
         assert _saved(save_svm, model) == _saved(svm_oracle.save_svm, dense)
         buf = io.BytesIO()
         save_svm(model, buf)
         buf.seek(0)
         loaded = load_svm(buf)
         assert loaded.weights == {i: w for i, w in model.weights.items() if w}
-        assert (loaded.bias, loaded.feature_hash_bits) == \
-            (model.bias, model.feature_hash_bits)
+        assert loaded.bias == model.bias
+
+    def test_colliding_features_add_up_and_score_as_dense(self):
+        # the property cases rarely collide in 2^18 slots; these two middle
+        # unigrams share one index
+        assert _hash_feature("M:w423") == _hash_feature("M:w633") == 258912
+        view = ClassifierView((), ("w423", "w633"), (), True)
+        features = featurize(view)
+        assert features[258912] == 2.0
+        model = LinearModel({i: 0.1 * (n + 1) - 0.25
+                             for n, i in enumerate(features)}, -0.3)
+        dense = svm_oracle.dense(model.weights, model.bias)
+        assert svm_margin(model, view).hex() == \
+            svm_oracle.svm_margin(dense, view).hex()
+        assert svm_score(model, view).hex() == \
+            svm_oracle.svm_score(dense, view).hex()
 
     @settings(max_examples=40)
     @given(st.lists(st.tuples(svm_views, st.integers(0, 1)), min_size=1,
                     max_size=12),
-           st.sampled_from([4, 8, 18]), st.integers(1, 3), st.integers(0, 9))
-    def test_training_keeps_the_dense_nonzero_weights(self, data, bits,
-                                                      epochs, seed):
-        config = SVMConfig(epochs=epochs, seed=seed, hash_bits=bits)
+           st.integers(1, 3), st.integers(0, 9))
+    def test_training_keeps_the_dense_nonzero_weights(self, data, epochs,
+                                                      seed):
+        config = SVMConfig(epochs=epochs, seed=seed)
         model = svm_train(data, config)
         dense = svm_oracle.svm_train(data, config)
         nonzero = np.flatnonzero(dense.weights)
@@ -510,20 +523,19 @@ class TestSVMOracle:
         assert [w.hex() for w in model.weights.values()] == \
             [float(w).hex() for w in dense.weights[nonzero]]
         assert model.bias.hex() == float(dense.bias).hex()
-        assert model.feature_hash_bits == bits
         assert _saved(save_svm, model) == _saved(svm_oracle.save_svm, dense)
 
 
 class TestFeatureHashMemo:
-    @given(st.text(max_size=30), st.sampled_from([1, 18, 24]))
-    @example("M:école", 18)
-    @example("L:中文", 18)
-    def test_memo_equals_blake2b(self, name, bits):
+    @given(st.text(max_size=30))
+    @example("M:école")
+    @example("L:中文")
+    def test_memo_equals_blake2b(self, name):
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
-        want = int.from_bytes(digest, "big") % (1 << bits)
-        assert _hash_feature.__wrapped__(name, bits) == want
-        assert _hash_feature(name, bits) == want
-        assert _hash_feature(name, bits) == want
+        want = int.from_bytes(digest, "big") % (1 << HASH_BITS)
+        assert _hash_feature.__wrapped__(name) == want
+        assert _hash_feature(name) == want
+        assert _hash_feature(name) == want
 
 
 class TestDates:

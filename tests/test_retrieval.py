@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import slotfill
-from slotfill.corpus import DocumentStore, make_document
+from slotfill.corpus import DocumentStore
 from slotfill.retrieval import (
     BM25_B,
     BM25_K1,
@@ -22,9 +22,7 @@ from slotfill.retrieval import (
     text_terms,
 )
 
-
-def store_from(texts: dict[str, str]) -> DocumentStore:
-    return DocumentStore([make_document(d, "news", t) for d, t in texts.items()])
+from helpers import news_store
 
 
 def brute_force_docs(texts: dict[str, str], terms: list[str], mode: str) -> set[str]:
@@ -50,7 +48,7 @@ def random_corpus(rng: random.Random, n_docs: int) -> dict[str, str]:
 
 class TestBuildIndex:
     def test_two_doc_postings(self):
-        store = store_from({"d1": "Barack Obama", "d2": "Obama speech"})
+        store = news_store({"d1": "Barack Obama", "d2": "Obama speech"})
         index = build_index(store)
         assert index.doc_ids_for("obama") == ["d1", "d2"]
         assert index.doc_ids_for("barack") == ["d1"]
@@ -61,7 +59,7 @@ class TestBuildIndex:
         assert index.postings == {}
 
     def test_punctuation_only_tokens_skipped(self):
-        store = store_from({"d1": "hello , world ."})
+        store = news_store({"d1": "hello , world ."})
         index = build_index(store)
         assert "," not in index.postings
         assert index.doc_lengths["d1"] == 2
@@ -69,7 +67,7 @@ class TestBuildIndex:
     def test_postings_match_brute_force_scan(self):
         rng = random.Random(7)
         texts = random_corpus(rng, 50)
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         for term in list(index.postings)[:10]:
             expected = {d for d, t in texts.items() if term in text_terms(t)}
             assert set(index.doc_ids_for(term)) == expected
@@ -77,20 +75,20 @@ class TestBuildIndex:
 
 class TestQueries:
     def test_and_intersection(self):
-        index = build_index(store_from({"d1": "Barack Obama", "d2": "Obama speech"}))
+        index = build_index(news_store({"d1": "Barack Obama", "d2": "Obama speech"}))
         assert [r.doc_id for r in query_and(index, ["barack", "obama"])] == ["d1"]
 
     def test_and_missing_term_empty(self):
-        index = build_index(store_from({"d1": "Barack Obama"}))
+        index = build_index(news_store({"d1": "Barack Obama"}))
         assert query_and(index, ["barack", "zzz"]) == []
 
     def test_or_all_terms_absent(self):
-        index = build_index(store_from({"d1": "Barack Obama"}))
+        index = build_index(news_store({"d1": "Barack Obama"}))
         assert query_or(index, ["xx", "yy"]) == []
 
     def test_or_hand_computed_bm25(self):
         # independent arithmetic: N=2, len(d1)=len(d2)=2, avgdl=2
-        index = build_index(store_from({"d1": "Barack Obama", "d2": "Obama speech"}))
+        index = build_index(news_store({"d1": "Barack Obama", "d2": "Obama speech"}))
         res = query_or(index, ["barack", "obama"])
         assert [r.doc_id for r in res] == ["d1", "d2"]
 
@@ -105,7 +103,7 @@ class TestQueries:
         assert res[1].score == pytest.approx(expected_d2, abs=1e-12)
 
     def test_single_term_and_equals_or(self):
-        index = build_index(store_from({"d1": "alpha beta", "d2": "beta gamma"}))
+        index = build_index(news_store({"d1": "alpha beta", "d2": "beta gamma"}))
         a = [(r.doc_id, r.score) for r in query_and(index, ["beta"])]
         o = [(r.doc_id, r.score) for r in query_or(index, ["beta"])]
         assert a == o
@@ -113,7 +111,7 @@ class TestQueries:
     def test_and_subset_of_or_random(self):
         rng = random.Random(3)
         texts = random_corpus(rng, 80)
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         for _ in range(20):
             terms = rng.sample([f"w{i}" for i in range(30)], k=rng.randint(1, 3))
             and_ids = {r.doc_id for r in query_and(index, terms)}
@@ -126,8 +124,8 @@ class TestQueries:
         rng = random.Random(11)
         texts = random_corpus(rng, 40)
         items = list(texts.items())
-        index_a = build_index(store_from(dict(items)))
-        index_b = build_index(store_from(dict(reversed(items))))
+        index_a = build_index(news_store(dict(items)))
+        index_b = build_index(news_store(dict(reversed(items))))
         res_a = query_or(index_a, ["w0", "w1"])
         res_b = query_or(index_b, ["w0", "w1"])
         assert [(r.doc_id, r.score) for r in res_a] == \
@@ -164,7 +162,7 @@ class TestBM25Oracle:
     def test_queries_bit_equal_to_counting_oracle(self, seed):
         rng = random.Random(seed)
         texts = random_corpus(rng, rng.randint(1, 120))
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         for _ in range(30):
             terms = rng.choices([f"W{i}" for i in range(32)],
                                 k=rng.randint(1, 4))
@@ -184,9 +182,10 @@ class TestBM25Oracle:
 _SCORES_SCRIPT = """
 import hashlib, random
 from slotfill.retrieval import bm25_score, build_index
-from test_retrieval import random_corpus, store_from
+from helpers import news_store
+from test_retrieval import random_corpus
 rng = random.Random(5)
-index = build_index(store_from(random_corpus(rng, 300)))
+index = build_index(news_store(random_corpus(rng, 300)))
 digest = hashlib.sha256()
 for _ in range(200):
     terms = rng.choices([f"w{i}" for i in range(30)], k=4)
@@ -211,19 +210,19 @@ def test_scores_independent_of_hash_seed():
 class TestRetrieveForEntity:
     def test_gpe_uses_and_only(self):
         texts = {"d1": "new york city hall", "d2": "york minster"}
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         got = retrieve_for_entity(index, "New York", entity_type="GPE")
         assert got == ["d1"]  # d2 matches OR but not AND
 
     def test_cap_at_100(self):
         texts = {f"d{i:03d}": "acme corp news" for i in range(150)}
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         got = retrieve_for_entity(index, "Acme Corp", entity_type="ORG")
         assert len(got) == 100
 
     def test_dedup_prefers_and_tier(self):
         texts = {"d1": "barack obama spoke", "d2": "obama replied"}
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         got = retrieve_for_entity(index, "Barack Obama", entity_type="PER")
         assert got.count("d1") == 1
         assert set(got) == {"d1", "d2"}
@@ -231,12 +230,12 @@ class TestRetrieveForEntity:
 
     def test_alias_tier_included(self):
         texts = {"d1": "barack obama", "d2": "barak obama wrote"}
-        index = build_index(store_from(texts))
+        index = build_index(news_store(texts))
         got = retrieve_for_entity(index, "Barack Obama", ir_alias="Barak Obama",
                                   entity_type="GPE")
         assert set(got) == {"d1", "d2"}
 
     def test_no_results(self):
-        index = build_index(store_from({"d1": "alpha"}))
+        index = build_index(news_store({"d1": "alpha"}))
         assert retrieve_for_entity(index, "missing name") == []
 

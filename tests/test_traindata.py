@@ -2,7 +2,6 @@
 
 import pytest
 
-from slotfill.corpus import DocumentStore, make_document
 from slotfill.resources import default_gazetteers, default_slot_configs
 from slotfill.traindata import (
     LabeledExample,
@@ -18,7 +17,12 @@ from slotfill.traindata import (
     tune_thresholds,
 )
 
-from helpers import make_noisy_selection_data, purity, save_examples
+from helpers import (
+    make_noisy_selection_data,
+    news_store,
+    purity,
+    save_examples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +36,7 @@ def slots():
 
 
 def store_of(*texts):
-    return DocumentStore([make_document(f"d{i}", "news", t)
-                          for i, t in enumerate(texts)])
+    return news_store({f"d{i}": t for i, t in enumerate(texts)})
 
 
 BIRTH_KB = [
@@ -105,11 +108,7 @@ class TestGenerateNegatives:
                 slots["per:location_of_birth"])
             return {(e.left, e.middle, e.right, e.entity_first) for e in out}
 
-        a = DocumentStore([make_document(f"d{i}", "news", t)
-                           for i, t in enumerate(texts)])
-        b = DocumentStore([make_document(f"d{i}", "news", t)
-                           for i, t in enumerate(reversed(texts))])
-        assert as_set(a) == as_set(b)
+        assert as_set(store_of(*texts)) == as_set(store_of(*reversed(texts)))
 
 
 class TestSelectionLoop:
