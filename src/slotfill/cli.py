@@ -45,13 +45,21 @@ def _cmd_train(args) -> int:
         return 1
     canonical = slot_configs[args.slot].canonical_slot
     if slot_configs[canonical].classifier_less and args.model != "pattern":
-        print(f"slot {args.slot} is classifier-less; only patterns apply")
+        print(f"error: slot {args.slot} is classifier-less; only patterns "
+              "apply", file=sys.stderr)
         return 1
     if args.model == "pattern":
         patterns = resources.default_patterns().get(canonical, [])
         print(f"{len(patterns)} patterns on file for {canonical} "
               "(patterns are data; nothing to train)")
         return 0
+    if not (args.examples or args.corpus and args.kb):
+        print("error: train needs --examples, or --corpus and --kb",
+              file=sys.stderr)
+        return 1
+    if args.select and not args.seed_data:
+        print("error: train --select needs --seed-data", file=sys.stderr)
+        return 1
 
     seed = seed_from_env(args.seed)
     if args.examples:
@@ -93,7 +101,7 @@ def _cmd_tune(args) -> int:
     registry = ModelRegistry.from_dir(args.models)
     dev = load_examples(args.dev)
     if not dev:
-        print("no dev examples", file=sys.stderr)
+        print(f"error: {args.dev}: no dev examples", file=sys.stderr)
         return 1
 
     # the examples of one canonical slot are scored in one batch

@@ -2,9 +2,9 @@
 with entity mentions, impossible-filler filtering, and context splitting.
 
 Named-entity tagging is deliberately simple: longest-match gazetteer lookups
-per type, from one table keyed by an entry's first token, plus regex taggers
-for dates, numbers and URLs, with overlaps resolved longest-first (ties
-leftmost).
+per type, from one table keyed by an entry's first token, plus the date rule
+of ``postprocess.read_date`` and regex taggers for numbers and URLs, with
+overlaps resolved longest-first (ties leftmost).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Document, Sentence
 from .mentions import CorefChain, Mention, PERSON_PRONOUNS, expand_person_fillers
-from .postprocess import normalize_date
+from .postprocess import MONTHS, normalize_date, read_date
 
 log = logging.getLogger(__name__)
 
@@ -32,16 +32,6 @@ STRING_LIST_TYPES = {
 
 _NUMBER_RE = re.compile(r"^\d{1,3}(,\d{3})+(\.\d+)?$|^\d+(\.\d+)?$")
 _URL_RE = re.compile(r"^(https?://|www\.)\S+$")
-_YEAR_RE = re.compile(r"^\d{4}$")
-_DAY_RE = re.compile(r"^\d{1,2}$")
-_ISO_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_SLASH_RE = re.compile(r"^\d{1,2}/\d{1,2}/\d{4}$")
-
-_MONTH_WORDS = {
-    "january", "february", "march", "april", "may", "june", "july", "august",
-    "september", "october", "november", "december", "jan", "feb", "mar",
-    "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec",
-}
 
 
 @dataclass(frozen=True)
@@ -154,37 +144,12 @@ class Gazetteers:
         return cls(entries)
 
 
-def _date_span_length(texts_lower: tuple[str, ...], i: int) -> int:
-    """Longest date expression starting at token i (0 when none)."""
-    n = len(texts_lower)
-    tok = texts_lower[i]
-    # Month D , YYYY
-    if tok in _MONTH_WORDS and i + 3 < n and _DAY_RE.fullmatch(texts_lower[i + 1]) \
-            and texts_lower[i + 2] == "," and _YEAR_RE.fullmatch(texts_lower[i + 3]):
-        return 4
-    # Month D YYYY
-    if tok in _MONTH_WORDS and i + 2 < n and _DAY_RE.fullmatch(texts_lower[i + 1]) \
-            and _YEAR_RE.fullmatch(texts_lower[i + 2]):
-        return 3
-    # D Month YYYY
-    if _DAY_RE.fullmatch(tok) and i + 2 < n and texts_lower[i + 1] in _MONTH_WORDS \
-            and _YEAR_RE.fullmatch(texts_lower[i + 2]):
-        return 3
-    # Month YYYY
-    if tok in _MONTH_WORDS and i + 1 < n and _YEAR_RE.fullmatch(texts_lower[i + 1]):
-        return 2
-    if _ISO_RE.fullmatch(tok) or _SLASH_RE.fullmatch(tok):
-        return 1
-    if _YEAR_RE.fullmatch(tok) and 1000 <= int(tok) <= 2999:
-        return 1
-    return 0
-
-
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
-    """Tag NE spans: gazetteer longest matches plus DATE/NUMBER/URL regexes;
-    overlapping spans resolved longest-first, ties leftmost.  One pass over
-    the tokens looks up each lowered token in the gazetteers' first-token
-    table; the regexes run only on tokens that can start their match."""
+    """Tag NE spans: gazetteer longest matches, DATE spans from
+    ``read_date`` and NUMBER/URL regexes; overlapping spans resolved
+    longest-first, ties leftmost.  One pass over the tokens looks up each
+    lowered token in the gazetteers' first-token table; the date rule and
+    the regexes run only on tokens that can start their match."""
     texts = sentence.texts
     lower = sentence.lower
     index = sentence.index
@@ -199,8 +164,8 @@ def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
                                         " ".join(texts[i:end])))
                     break  # longest match of this type at this start
         # every date starts with a month word or a digit
-        if word in _MONTH_WORDS or word[:1].isdigit():
-            width = _date_span_length(lower, i)
+        if word in MONTHS or word[:1].isdigit():
+            width = read_date(lower, i)[0]
             if width:
                 spans.append(NESpan(index, i, i + width, "DATE",
                                     " ".join(texts[i:i + width])))

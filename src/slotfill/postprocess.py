@@ -3,8 +3,10 @@ disambiguation and inference, date normalization, ranked truncation."""
 
 from __future__ import annotations
 
+import datetime
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +21,11 @@ MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "jun": 6, "jul": 7, "aug": 8,
     "sep": 9, "sept": 9, "oct": 10, "nov": 11, "dec": 12,
 }
+
+_YEAR_RE = re.compile(r"\d{4}")
+_DAY_RE = re.compile(r"\d{1,2}")
+_ISO_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+_SLASH_RE = re.compile(r"(\d{1,2})/(\d{1,2})/(\d{4})")
 
 
 @dataclass(frozen=True)
@@ -132,67 +139,63 @@ def infer_locations(answer: Answer, requested: str, maps: LocationMaps) -> Answe
     return replace(answer, filler=mapped)
 
 
-def _year_ok(y: int) -> bool:
-    return 1000 <= y <= 2999
+def _render(year: int, month: int | None, day: int | None) -> str | None:
+    """YYYY-MM-DD with XX for an unknown month or day; None when the year
+    is outside 1000-2999 or the month and day are not on the calendar.  A
+    day is only ever known with its month, and a month known alone comes
+    from ``MONTHS``."""
+    if not 1000 <= year <= 2999:
+        return None
+    if day is None:
+        return f"{year:04d}-{month:02d}-XX" if month else f"{year:04d}-XX-XX"
+    try:
+        return datetime.date(year, month, day).isoformat()
+    except ValueError:
+        return None
 
 
-def _render(year: int, month: int | None, day: int | None) -> str:
-    mm = f"{month:02d}" if month else "XX"
-    dd = f"{day:02d}" if day else "XX"
-    return f"{year:04d}-{mm}-{dd}"
-
-
-def _month_number(word: str) -> int | None:
-    return MONTHS.get(word.lower().rstrip("."))
+def read_date(words: Sequence[str], i: int = 0) -> tuple[int, str | None]:
+    """The longest date that starts at the lowercased ``words[i]``: its
+    width in words (0 when none starts there) and its YYYY-MM-DD form with
+    XX for an unknown part, or None when a part is out of range or the day
+    is not on the calendar.  The forms, longest first: "Month D , YYYY",
+    "Month D YYYY", "D Month YYYY", "Month YYYY", "YYYY-MM-DD" or
+    "MM/DD/YYYY", a bare year 1000-2999."""
+    n = len(words)
+    if i >= n:
+        return 0, None
+    w0 = words[i]
+    w1 = words[i + 1] if i + 1 < n else ""
+    w2 = words[i + 2] if i + 2 < n else ""
+    month = MONTHS.get(w0)
+    if month:
+        if _DAY_RE.fullmatch(w1):
+            if w2 == "," and i + 3 < n and _YEAR_RE.fullmatch(words[i + 3]):
+                return 4, _render(int(words[i + 3]), month, int(w1))
+            if _YEAR_RE.fullmatch(w2):
+                return 3, _render(int(w2), month, int(w1))
+        elif _YEAR_RE.fullmatch(w1):
+            return 2, _render(int(w1), month, None)
+        return 0, None
+    if _DAY_RE.fullmatch(w0) and w1 in MONTHS and _YEAR_RE.fullmatch(w2):
+        return 3, _render(int(w2), MONTHS[w1], int(w0))
+    m = _ISO_RE.fullmatch(w0)
+    if m:
+        return 1, _render(int(m[1]), int(m[2]), int(m[3]))
+    m = _SLASH_RE.fullmatch(w0)
+    if m:
+        return 1, _render(int(m[3]), int(m[1]), int(m[2]))
+    date = _render(int(w0), None, None) if _YEAR_RE.fullmatch(w0) else None
+    return (1, date) if date else (0, None)
 
 
 def normalize_date(surface: str) -> str | None:
-    """Normalize a date surface to YYYY-MM-DD with XX for unknown components.
-
-    Recognized: "Month D, YYYY", "D Month YYYY", "Month YYYY", "YYYY-MM-DD",
-    "MM/DD/YYYY" and bare "YYYY".  Anything else yields None.
-    """
-    parts = [p for p in surface.replace(",", " ").split() if p]
-    if len(parts) == 1:
-        tok = parts[0]
-        m = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", tok)
-        if m:
-            y, mo, d = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            if _year_ok(y) and 1 <= mo <= 12 and 1 <= d <= 31:
-                return _render(y, mo, d)
-            return None
-        m = re.fullmatch(r"(\d{1,2})/(\d{1,2})/(\d{4})", tok)
-        if m:
-            mo, d, y = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            if _year_ok(y) and 1 <= mo <= 12 and 1 <= d <= 31:
-                return _render(y, mo, d)
-            return None
-        if re.fullmatch(r"\d{4}", tok) and _year_ok(int(tok)):
-            return _render(int(tok), None, None)
-        return None
-    if len(parts) == 2:
-        mo = _month_number(parts[0])
-        if mo and re.fullmatch(r"\d{4}", parts[1]) and _year_ok(int(parts[1])):
-            return _render(int(parts[1]), mo, None)
-        return None
-    if len(parts) == 3:
-        # Month D YYYY
-        mo = _month_number(parts[0])
-        if mo and re.fullmatch(r"\d{1,2}", parts[1]) \
-                and re.fullmatch(r"\d{4}", parts[2]):
-            d, y = int(parts[1]), int(parts[2])
-            if _year_ok(y) and 1 <= d <= 31:
-                return _render(y, mo, d)
-            return None
-        # D Month YYYY
-        mo = _month_number(parts[1])
-        if mo and re.fullmatch(r"\d{1,2}", parts[0]) \
-                and re.fullmatch(r"\d{4}", parts[2]):
-            d, y = int(parts[0]), int(parts[2])
-            if _year_ok(y) and 1 <= d <= 31:
-                return _render(y, mo, d)
-        return None
-    return None
+    """A date surface as YYYY-MM-DD with XX for an unknown part: the date
+    ``read_date`` reads when it covers every word, commas aside; else None.
+    The tagger tags DATE spans with the same rule."""
+    words = surface.lower().replace(",", " ").split()
+    width, date = read_date(words)
+    return date if width == len(words) else None
 
 
 def rank_and_truncate(answers: list[Answer], slot_config) -> list[Answer]:

@@ -1,18 +1,29 @@
 """Slow reference for NE tagging: one pass over the tokens per gazetteer
 type, trying every width from the type's longest entry down, and the date,
 number and URL regexes on every token.  Tests use it as the oracle for
-``slotfill.extract.tag_entities``'s one-table pass."""
+``slotfill.extract.tag_entities``'s one-table pass.
+
+The date rule here is the tagger's older shape rule, kept apart from
+``slotfill.postprocess.read_date`` so that a fault in the one grammar the
+package reads shows as a difference."""
 
 from __future__ import annotations
 
+import re
+
 from slotfill.corpus import Sentence
-from slotfill.extract import (
-    _NUMBER_RE,
-    _URL_RE,
-    Gazetteers,
-    NESpan,
-    _date_span_length,
-)
+from slotfill.extract import _NUMBER_RE, _URL_RE, Gazetteers, NESpan
+
+_YEAR_RE = re.compile(r"^\d{4}$")
+_DAY_RE = re.compile(r"^\d{1,2}$")
+_ISO_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_SLASH_RE = re.compile(r"^\d{1,2}/\d{1,2}/\d{4}$")
+
+_MONTH_WORDS = {
+    "january", "february", "march", "april", "may", "june", "july", "august",
+    "september", "october", "november", "december", "jan", "feb", "mar",
+    "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec",
+}
 
 
 def gazetteer_entries(gazetteers: Gazetteers) -> dict[str, set[tuple[str, ...]]]:
@@ -22,6 +33,32 @@ def gazetteer_entries(gazetteers: Gazetteers) -> dict[str, set[tuple[str, ...]]]
         for ne_type, items in types:
             entries.setdefault(ne_type, set()).update(items)
     return entries
+
+
+def date_span_length(texts_lower: tuple[str, ...], i: int) -> int:
+    """Longest date expression starting at token i (0 when none)."""
+    n = len(texts_lower)
+    tok = texts_lower[i]
+    # Month D , YYYY
+    if tok in _MONTH_WORDS and i + 3 < n and _DAY_RE.fullmatch(texts_lower[i + 1]) \
+            and texts_lower[i + 2] == "," and _YEAR_RE.fullmatch(texts_lower[i + 3]):
+        return 4
+    # Month D YYYY
+    if tok in _MONTH_WORDS and i + 2 < n and _DAY_RE.fullmatch(texts_lower[i + 1]) \
+            and _YEAR_RE.fullmatch(texts_lower[i + 2]):
+        return 3
+    # D Month YYYY
+    if _DAY_RE.fullmatch(tok) and i + 2 < n and texts_lower[i + 1] in _MONTH_WORDS \
+            and _YEAR_RE.fullmatch(texts_lower[i + 2]):
+        return 3
+    # Month YYYY
+    if tok in _MONTH_WORDS and i + 1 < n and _YEAR_RE.fullmatch(texts_lower[i + 1]):
+        return 2
+    if _ISO_RE.fullmatch(tok) or _SLASH_RE.fullmatch(tok):
+        return 1
+    if _YEAR_RE.fullmatch(tok) and 1000 <= int(tok) <= 2999:
+        return 1
+    return 0
 
 
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
@@ -42,7 +79,7 @@ def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:
                     break  # longest match at this start position
 
     for i in range(n):
-        width = _date_span_length(lower, i)
+        width = date_span_length(lower, i)
         if width:
             spans.append(NESpan(sentence.index, i, i + width, "DATE",
                                 " ".join(texts[i:i + width])))

@@ -64,6 +64,33 @@ class TestTrainCommand:
     def test_classifier_less_slot_refused(self, capsys):
         rc = main(["train", "--slot", "per:charges", "--model", "svm"])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: slot per:charges is classifier-less; only patterns apply\n")
+
+    @pytest.mark.parametrize("given", [
+        [],
+        ["--kb", "never-read.tsv"],
+        ["--corpus", "never-read.jsonl"],
+    ])
+    def test_missing_corpus_or_kb_refused_before_work(self, given, tmp_path,
+                                                      capsys):
+        rc = main(["train", "--slot", "per:location_of_birth", "--model",
+                   "svm", "--out-dir", str(tmp_path / "models"), *given])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: train needs --examples, or --corpus and --kb\n")
+        assert not (tmp_path / "models").exists()
+
+    def test_select_without_seed_data_refused_before_work(self, tmp_path,
+                                                          capsys):
+        # neither input exists: the refusal comes before either is read
+        rc = main(["train", "--slot", "per:location_of_birth", "--model", "svm",
+                   "--corpus", "never-read.jsonl", "--kb", "never-read.tsv",
+                   "--select", "--out-dir", str(tmp_path / "models")])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: train --select needs --seed-data\n")
+        assert not (tmp_path / "models").exists()
 
     def test_unknown_slot_refused(self, fixtures_dir, tmp_path, capsys):
         rc = main(["train", "--slot", "per:shoe_size", "--model", "svm",
@@ -99,6 +126,16 @@ class TestTuneCommand:
         assert capsys.readouterr().err == (
             f"error: {dev}: line 2: field 'slot' must be a slot of the bundled "
             "slot table, got 'per:shoe_size'\n")
+        assert not (tmp_path / "t.json").exists()
+
+    def test_empty_dev_file_is_an_error_line(self, trained_models_dir,
+                                             tmp_path, capsys):
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text("")
+        rc = main(["tune", "--dev", str(dev), "--models",
+                   str(trained_models_dir), "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dev}: no dev examples\n"
         assert not (tmp_path / "t.json").exists()
 
     def test_tuned_file_feeds_run(self, fixtures_dir, trained_models_dir,

@@ -48,6 +48,25 @@ DATE_ORACLE = [
     ("4 March", None),
 ]
 
+# edges of the one date rule, kept out of DATE_ORACLE, whose size the
+# acceptance criterion fixes
+DATE_EDGES = [
+    ("June 0 1999", None),    # day 0
+    ("0 May 1999", None),
+    ("2000-00-10", None),     # month 0
+    ("00/10/2000", None),
+    ("May 0999", None),       # year below range
+    ("MAY 5 2000", "2000-05-05"),
+    ("5 may 2000", "2000-05-05"),
+    ("February 30, 2001", None),  # days within 1-31 but off the calendar
+    ("April 31 1999", None),
+    ("February 29, 2001", None),
+    ("2001-02-29", None),
+    ("02/30/2001", None),
+    ("31 June 2010", None),
+    ("2000-02-29", "2000-02-29"),  # a leap day
+]
+
 
 class TestEffectiveThreshold:
     def test_hop1_adds_point_one(self):
@@ -118,7 +137,7 @@ class TestInference:
 
 
 class TestNormalizeDate:
-    @pytest.mark.parametrize("surface,expected", DATE_ORACLE)
+    @pytest.mark.parametrize("surface,expected", DATE_ORACLE + DATE_EDGES)
     def test_oracle_table(self, surface, expected):
         assert normalize_date(surface) == expected
 

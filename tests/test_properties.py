@@ -42,7 +42,7 @@ from slotfill.mentions import bounded_levenshtein, split_pieces
 from slotfill.nnets import CNNClassifier, EmbeddingMatrix
 from slotfill.nnets.cnn import WIDTH
 from slotfill.pipeline import ClassifierView, classifier_view
-from slotfill.postprocess import normalize_date
+from slotfill.postprocess import normalize_date, read_date
 from slotfill.query import levenshtein
 from slotfill.resources import default_gazetteers
 from helpers import DATE_RE
@@ -155,7 +155,8 @@ _TAG_PIECES = _ENTRY_WORDS + [
     "4 March 1988", "march 1999", "Sept 12 2001", "2001-02-03", "3/4/2001",
     "1999", "0999", "12", "3.5", "1,000", "1,00", "٣", "²", "http://x.org",
     "https://a.b/c", "www.example.com", "HTTP://X.ORG", "www", "the", "in",
-    "said", ",", "Acme Corp",
+    "said", ",", "Acme Corp", "June 99 , 1985", "0 May 1999", "May 3000",
+    "2000-13-45", "00/10/2000", "MAY",
 ]
 tag_sentences = st.lists(st.sampled_from(_TAG_PIECES), max_size=14).map(
     " ".join)
@@ -168,11 +169,23 @@ class TestOneTableTagger:
     @example("New York Times said New York City in Georgia")
     @example("Paris Hilton Group met acme corp holdings on March 4 , 1988")
     @example("see www.example.com or http://x.org for 1,000 and 3.5 in 1999")
+    @example("a date cut short by the sentence end : May 12 ,")
+    @example("a date cut short by the sentence end : 4 March")
+    @example("a date cut short by the sentence end : May 12")
     def test_spans_match_per_type_oracle(self, text):
         for gazetteers in (OVERLAP_GAZETTEERS, default_gazetteers()):
             for sent in make_document("d", "news", text).sentences:
                 assert tag_entities(sent, gazetteers) \
                     == oracle_tag_entities(sent, gazetteers)
+
+    @given(tag_sentences)
+    @example("born June 99 , 1985 or 0 May 1999 , not May 3000 or 2000-13-45")
+    def test_date_spans_normalize_as_read(self, text):
+        for sent in make_document("d", "news", text).sentences:
+            for span in tag_entities(sent, default_gazetteers()):
+                if span.ne_type == "DATE":
+                    assert normalize_date(span.surface) == \
+                        read_date(sent.lower, span.token_start)[1]
 
 
 class TestQuoteStripping:
