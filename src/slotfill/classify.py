@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+from .resources import read_tsv
 
 ENTITY_SLOT = "<ENTITY>"
 FILLER_SLOT = "<FILLER>"
@@ -73,24 +72,15 @@ class Pattern:
 
 
 def load_patterns(path: str | Path) -> dict[str, list[Pattern]]:
-    """TSV ``slot<TAB>template`` -> patterns grouped by slot; a bad
-    template raises ValueError naming the file and line."""
+    """TSV ``slot<TAB>template`` -> patterns grouped by slot; a bad line
+    or template raises ValueError naming the file and line."""
     patterns: dict[str, list[Pattern]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                log.warning("%s: line %d: expected 2 fields", path, line_no)
-                continue
-            slot, template = parts
-            try:
-                pattern = Pattern(tuple(template.split()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            patterns.setdefault(slot, []).append(pattern)
+    for line_no, (slot, template) in read_tsv(path, 2):
+        try:
+            pattern = Pattern(tuple(template.split()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        patterns.setdefault(slot, []).append(pattern)
     return patterns
 
 

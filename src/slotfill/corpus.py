@@ -16,24 +16,17 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
+from .resources import data_path, read_tsv
+
 log = logging.getLogger(__name__)
 
 GENRES = ("news", "forum")
 
 _PUNCT = frozenset(string.punctuation)
 
-
-def _load_abbreviations() -> tuple[str, ...]:
-    path = Path(__file__).parent / "data" / "abbreviations.txt"
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return tuple(l.strip() for l in lines if l.strip())
-    except OSError:
-        return ("Dr.", "Mr.", "Mrs.", "Ms.", "Inc.", "Corp.", "Co.", "U.S.", "St.")
-
-
 # Lowercased; periods closing these never end a sentence.
-ABBREVIATIONS = frozenset(a.lower() for a in _load_abbreviations())
+ABBREVIATIONS = frozenset(entry.strip().lower() for _, (entry,)
+                          in read_tsv(data_path("abbreviations.txt"), 1))
 
 _QUOTE_TAG_RE = re.compile(r"</?quote>")
 _CLOSERS = "\"')]}”’"

@@ -10,17 +10,15 @@ overlaps resolved longest-first (ties leftmost).
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, Sentence
+from .corpus import Document, Sentence, tokenize
 from .mentions import CorefChain, Mention, PERSON_PRONOUNS, expand_person_fillers
 from .postprocess import MONTHS, normalize_date, read_date
-
-log = logging.getLogger(__name__)
+from .resources import read_tsv
 
 # string-list slots tag through these gazetteer types
 STRING_LIST_TYPES = {
@@ -122,26 +120,15 @@ class Gazetteers:
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "Gazetteers":
-        from .corpus import tokenize
+        """One list file ``<stem>.txt`` per NE type, an entry per line."""
         directory = Path(directory)
-        entries: dict[str, set[tuple[str, ...]]] = {}
         names = {"per": "PER", "org": "ORG", "gpe": "GPE", "title": "TITLE",
                  "charge": "CHARGE", "religion": "RELIGION",
                  "cause_of_death": "CAUSE_OF_DEATH"}
-        for stem, ne_type in names.items():
-            path = directory / f"{stem}.txt"
-            items: set[tuple[str, ...]] = set()
-            if path.exists():
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line or line.startswith("#"):
-                            continue
-                        toks = tuple(w.lower() for w in tokenize(line))
-                        if toks:
-                            items.add(toks)
-            entries[ne_type] = items
-        return cls(entries)
+        return cls({ne_type: {tuple(w.lower() for w in tokenize(entry))
+                              for _, (entry,)
+                              in read_tsv(directory / f"{stem}.txt", 1)}
+                    for stem, ne_type in names.items()})
 
 
 def tag_entities(sentence: Sentence, gazetteers: Gazetteers) -> list[NESpan]:

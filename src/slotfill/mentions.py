@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document
+from .resources import read_tsv
 
 log = logging.getLogger(__name__)
 
@@ -57,39 +58,33 @@ CorefChain = tuple[ChainMention, ...]
 
 
 def load_coref_resource(path: str | Path) -> dict[str, list[CorefChain]]:
-    """Load coreference chains grouped per document; malformed lines are
-    skipped with a warning, chains left with fewer than 2 mentions dropped."""
+    """Load coreference chains grouped per document.  A line without 7
+    fields raises ValueError naming the file and line; a line whose span is
+    not integers or not valid, or whose mention class is unknown, is
+    skipped with a warning; chains left with fewer than 2 mentions are
+    dropped."""
     raw: dict[tuple[str, str], list[ChainMention]] = {}
     order: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 7:
-                log.warning("%s: line %d: expected 7 fields, got %d",
-                            path, line_no, len(parts))
-                continue
-            doc_id, chain_id, sent_s, start_s, end_s, mclass, surface = parts
-            try:
-                sent, start, end = int(sent_s), int(start_s), int(end_s)
-            except ValueError:
-                log.warning("%s: line %d: non-integer span", path, line_no)
-                continue
-            if sent < 0 or start < 0 or end <= start:
-                log.warning("%s: line %d: invalid span (%d, %d, %d)",
-                            path, line_no, sent, start, end)
-                continue
-            if mclass not in MENTION_CLASSES:
-                log.warning("%s: line %d: unknown mention class %r",
-                            path, line_no, mclass)
-                continue
-            key = (doc_id, chain_id)
-            if key not in raw:
-                raw[key] = []
-                order.append(key)
-            raw[key].append(ChainMention(sent, start, end, surface, mclass))
+    for line_no, fields in read_tsv(path, 7):
+        doc_id, chain_id, sent_s, start_s, end_s, mclass, surface = fields
+        try:
+            sent, start, end = int(sent_s), int(start_s), int(end_s)
+        except ValueError:
+            log.warning("%s: line %d: non-integer span", path, line_no)
+            continue
+        if sent < 0 or start < 0 or end <= start:
+            log.warning("%s: line %d: invalid span (%d, %d, %d)",
+                        path, line_no, sent, start, end)
+            continue
+        if mclass not in MENTION_CLASSES:
+            log.warning("%s: line %d: unknown mention class %r",
+                        path, line_no, mclass)
+            continue
+        key = (doc_id, chain_id)
+        if key not in raw:
+            raw[key] = []
+            order.append(key)
+        raw[key].append(ChainMention(sent, start, end, surface, mclass))
 
     chains: dict[str, list[CorefChain]] = {}
     for doc_id, chain_id in order:

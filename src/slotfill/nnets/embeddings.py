@@ -14,15 +14,19 @@ INIT_RANGE = 0.1
 
 
 def load_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Text embeddings, one line per word: ``word v1 v2 ... vd``."""
+    """Text embeddings, one line per word: ``word v1 v2 ... vd``.  A value
+    that is not a number raises ValueError naming the file and line."""
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split()
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split()
             if len(parts) < 2:
                 continue
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]],
-                                         dtype=np.float64)
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            vectors[parts[0]] = np.array(values, dtype=np.float64)
     return vectors
 
 

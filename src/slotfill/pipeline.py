@@ -10,7 +10,6 @@ the entity-linking gate, and a traditional pattern+SVM run.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -62,8 +61,6 @@ from .query import (
 )
 from .retrieval import InvertedIndex, build_index, retrieve_for_entity
 from . import resources
-
-log = logging.getLogger(__name__)
 
 ENTITY_NE_TYPES = ("PER", "ORG", "GPE")
 
@@ -231,13 +228,7 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
     from .mentions import load_coref_resource
 
     models = ModelRegistry.from_dir(models_dir) if models_dir else ModelRegistry()
-    tuned = {}
-    if tuned_path:
-        try:
-            tuned = json.loads(Path(tuned_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{tuned_path}: invalid JSON ({exc.msg}: line "
-                             f"{exc.lineno} column {exc.colno})") from None
+    tuned = _read_tuned(tuned_path) if tuned_path else {}
     weights = (check_weights(tuned["weights"], tuned_path) if "weights" in tuned
                else resources.default_weights())
     store = ingest_documents(corpus_path)
@@ -261,6 +252,26 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
             state.slot_configs[slot] = replace(state.slot_configs[slot],
                                                threshold=float(theta))
     return state
+
+
+def _read_tuned(path: str | Path) -> dict:
+    """A ``slotfill tune`` output: a JSON object whose ``thresholds``, if
+    present, map slots to numbers.  Anything else raises ValueError naming
+    the file, and the slot of a threshold that is not a number."""
+    try:
+        tuned = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc.msg}: line "
+                         f"{exc.lineno} column {exc.colno})") from None
+    if not (isinstance(tuned, dict)
+            and isinstance(tuned.get("thresholds", {}), dict)):
+        raise ValueError(f"{path}: must be a JSON object whose thresholds map "
+                         "slots to numbers")
+    for slot, theta in tuned.get("thresholds", {}).items():
+        if type(theta) not in (int, float):
+            raise ValueError(f"{path}: threshold of slot {slot!r} must be a "
+                             f"number, got {theta!r}")
+    return tuned
 
 
 def _context_bag(doc, mentions) -> Counter:
@@ -393,10 +404,7 @@ def _postprocess_candidate(state: SystemState, query: SlotQuery, slot_cfg,
                            candidate, score: float) -> Answer | None:
     filler = candidate.canonical_filler
     if slot_cfg.filler_type == "DATE":
-        normalized = normalize_date(filler)
-        if normalized is None:
-            return None
-        filler = normalized
+        filler = normalize_date(filler)  # not None: filter_impossible checked
     provenance = (f"{candidate.doc_id}:{candidate.filler.sentence_index}:"
                   f"{candidate.entity_mention.token_start}-"
                   f"{candidate.entity_mention.token_end}:"
@@ -574,37 +582,15 @@ def read_answers(path: str | Path) -> list[Answer]:
     """TSV as ``write_answers`` writes it; a line without 6 fields, a
     non-integer hop or a score that is not a number raises ValueError
     naming the file and line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise ValueError(f"{path}: line {line_no}: expected 6 "
-                                 f"tab-separated fields, got {len(fields)}")
-            qid, hop, slot, filler, doc_id, score = fields
-            out.append(Answer(qid, _number(path, line_no, "hop", hop, int),
-                              slot, filler, doc_id, "",
-                              _number(path, line_no, "score", score, float)))
-    return out
+    return [Answer(qid, _number(path, line_no, "hop", hop, int), slot, filler,
+                   doc_id, "", _number(path, line_no, "score", score, float))
+            for line_no, (qid, hop, slot, filler, doc_id, score)
+            in resources.read_tsv(path, 6)]
 
 
 def load_gold(path: str | Path) -> list[tuple[str, int, str, str]]:
-    """TSV query_id, hop, slot, filler; a short line or a non-integer hop
-    raises ValueError naming the file and line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 "
-                                 f"tab-separated fields, got {len(fields)}")
-            qid, hop, slot, filler = fields[:4]
-            out.append((qid, _number(path, line_no, "hop", hop, int), slot,
-                        filler))
-    return out
+    """TSV query_id, hop, slot, filler; a line without 4 fields or a
+    non-integer hop raises ValueError naming the file and line."""
+    return [(qid, _number(path, line_no, "hop", hop, int), slot, filler)
+            for line_no, (qid, hop, slot, filler)
+            in resources.read_tsv(path, 4)]

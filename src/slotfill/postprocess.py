@@ -10,6 +10,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .resources import read_tsv
+
 log = logging.getLogger(__name__)
 
 HOP1_THRESHOLD_BONUS = 0.1
@@ -78,34 +80,24 @@ class LocationMaps:
             self.city_to_country.pop(city, None)
 
 
-def _load_tsv_map(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 2:
-                out[parts[0].lower()] = parts[1]
-    return out
-
-
-def _load_name_list(path: Path) -> set[str]:
-    with open(path, encoding="utf-8") as fh:
-        return {line.strip().lower() for line in fh
-                if line.strip() and not line.startswith("#")}
-
-
 def load_location_maps(directory: str | Path) -> LocationMaps:
+    """The three TSV maps ``name<TAB>name`` (keys lowercased) and the three
+    name lists (lowercased) of ``directory``."""
     d = Path(directory)
+
+    def mapping(name: str) -> dict[str, str]:
+        return {key.lower(): value for _, (key, value) in read_tsv(d / name, 2)}
+
+    def names(name: str) -> set[str]:
+        return {entry.strip().lower() for _, (entry,) in read_tsv(d / name, 1)}
+
     return LocationMaps(
-        city_to_state=_load_tsv_map(d / "city_state.tsv"),
-        city_to_country=_load_tsv_map(d / "city_country.tsv"),
-        state_to_country=_load_tsv_map(d / "state_country.tsv"),
-        cities=_load_name_list(d / "cities.txt"),
-        states=_load_name_list(d / "states.txt"),
-        countries=_load_name_list(d / "countries.txt"),
+        city_to_state=mapping("city_state.tsv"),
+        city_to_country=mapping("city_country.tsv"),
+        state_to_country=mapping("state_country.tsv"),
+        cities=names("cities.txt"),
+        states=names("states.txt"),
+        countries=names("countries.txt"),
     )
 
 

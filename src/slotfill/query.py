@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .resources import STRING, STRINGS, read_jsonl
+from .resources import STRING, STRINGS, read_jsonl, read_tsv
 
 log = logging.getLogger(__name__)
 
@@ -54,32 +54,16 @@ class KBEntry:
 def load_alias_table(path: str | Path) -> dict[str, list[tuple[str, str]]]:
     """TSV ``canonical<TAB>alias<TAB>alias_type`` -> raw alias table."""
     table: dict[str, list[tuple[str, str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                log.warning("%s: line %d: expected 3 fields", path, line_no)
-                continue
-            canonical, alias, alias_type = parts
-            table.setdefault(canonical, []).append((alias, alias_type))
+    for _, (canonical, alias, alias_type) in read_tsv(path, 3):
+        table.setdefault(canonical, []).append((alias, alias_type))
     return table
 
 
 def load_nicknames(path: str | Path) -> dict[str, list[str]]:
     """TSV ``name<TAB>nick`` -> first name (lowercased) to nicknames."""
     nicknames: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                continue
-            nicknames.setdefault(parts[0].lower(), []).append(parts[1])
+    for _, (name, nick) in read_tsv(path, 2):
+        nicknames.setdefault(name.lower(), []).append(nick)
     return nicknames
 
 

@@ -1,6 +1,7 @@
 """Accessors for the bundled data resources (slot table, gazetteers,
 patterns, triggers, alias table, KB, location maps, interpolation weights),
-and the JSON Lines reader that the query, KB and example loaders share."""
+the JSON Lines reader that the query, KB and example loaders share, and the
+TSV reader that every tab-separated and one-column list file goes through."""
 
 from __future__ import annotations
 
@@ -53,6 +54,24 @@ def read_jsonl(path: str | Path, fields: tuple[str, ...],
                                          f"{key!r} must be {want}, got "
                                          f"{rec[key]!r}")
             yield line_no, rec
+
+
+def read_tsv(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """Each line of a tab-separated file as ``(line_no, fields)``; blank,
+    whitespace-only and ``#`` lines are skipped but counted.  A line that
+    does not hold ``width`` fields raises ValueError naming the file and
+    line.  A one-column list file is read with ``width=1``.  The file is
+    read whole: every such file is small."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {line_no}: expected {width} "
+                             f"tab-separated fields, got {len(fields)}")
+        yield line_no, fields
 
 
 @functools.cache

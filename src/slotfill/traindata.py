@@ -32,6 +32,7 @@ from .resources import (
     ZERO_OR_ONE,
     default_slot_configs,
     read_jsonl,
+    read_tsv,
 )
 
 log = logging.getLogger(__name__)
@@ -60,18 +61,13 @@ class LabeledExample:
 
 
 def load_kb_instances(path: str | Path) -> list[RelationInstance]:
-    """TSV ``subject<TAB>relation<TAB>object``."""
+    """TSV ``subject<TAB>relation<TAB>object``; a bad line or an empty
+    field raises ValueError naming the file and line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                log.warning("%s: line %d: bad instance", path, line_no)
-                continue
-            out.append(RelationInstance(*parts))
+    for line_no, fields in read_tsv(path, 3):
+        if not all(fields):
+            raise ValueError(f"{path}: line {line_no}: empty field")
+        out.append(RelationInstance(*fields))
     return out
 
 
@@ -99,25 +95,17 @@ def load_examples(path: str | Path) -> list[LabeledExample]:
 
 def load_triggers(path: str | Path) -> dict[str, list]:
     """TSV ``slot<TAB>trigger``; a trigger is a word or a full template.  A
-    bad template raises ValueError naming the file and line."""
+    bad line or template raises ValueError naming the file and line."""
     triggers: dict[str, list] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                continue
-            slot, trigger = parts
-            if ENTITY_SLOT in trigger or FILLER_SLOT in trigger:
-                try:
-                    pattern = Pattern(tuple(trigger.split()))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
-                triggers.setdefault(slot, []).append(pattern)
-            else:
-                triggers.setdefault(slot, []).append(trigger.lower())
+    for line_no, (slot, trigger) in read_tsv(path, 2):
+        if ENTITY_SLOT in trigger or FILLER_SLOT in trigger:
+            try:
+                pattern = Pattern(tuple(trigger.split()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            triggers.setdefault(slot, []).append(pattern)
+        else:
+            triggers.setdefault(slot, []).append(trigger.lower())
     return triggers
 
 

@@ -56,6 +56,19 @@ class TestTrainCommand:
         assert rc == 0
         assert (out_dir / "per_location_of_birth.svm.npz").exists()
 
+    def test_bad_embeddings_file_is_an_error_line(self, fixtures_dir,
+                                                  tmp_path, capsys):
+        vec = tmp_path / "vec.txt"
+        vec.write_text("paris 0.1 x\n")
+        rc = main(["train", "--slot", "per:city_of_birth", "--model", "cnn",
+                   "--examples", str(fixtures_dir / "seed_examples.jsonl"),
+                   "--out-dir", str(tmp_path / "models"),
+                   "--embeddings", str(vec)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {vec}: line 1: could not convert string to float: "
+            "'x'\n")
+
     def test_pattern_kind_is_data(self, capsys):
         rc = main(["train", "--slot", "per:age", "--model", "pattern"])
         assert rc == 0

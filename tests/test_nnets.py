@@ -53,6 +53,14 @@ class TestEmbeddings:
         emb = EmbeddingMatrix.build(["born", "other"], dim=3, pretrained=pre)
         assert np.allclose(emb.vectors[emb.index("born")], [1, 2, 3])
 
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_text("born 1 2 3\n\nparis 0.1 x\n")
+        with pytest.raises(ValueError) as err:
+            load_embedding_file(p)
+        assert str(err.value) == (f"{p}: line 3: could not convert string "
+                                  "to float: 'x'")
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingMatrix.build(["a"], dim=4,

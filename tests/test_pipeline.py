@@ -407,6 +407,27 @@ class TestTunedFile:
                            r"\(Expecting value: line 3 column 16\)"):
             load_system(tmp_path / "corpus.jsonl", tuned_path=tuned)
 
+    @pytest.mark.parametrize("content, message", [
+        ('{"thresholds": {"per:age": null}}',
+         "threshold of slot 'per:age' must be a number, got None"),
+        ('{"thresholds": {"per:age": "high"}}',
+         "threshold of slot 'per:age' must be a number, got 'high'"),
+        ('{"thresholds": {"per:no_such_slot": true}}',
+         "threshold of slot 'per:no_such_slot' must be a number, got True"),
+        ('{"thresholds": [0.5]}',
+         "must be a JSON object whose thresholds map slots to numbers"),
+        ('[{"thresholds": {"per:age": 0.5}}]',
+         "must be a JSON object whose thresholds map slots to numbers"),
+    ])
+    def test_bad_tuned_file_names_file_before_ingest(self, tmp_path, content,
+                                                     message):
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(content)
+        # the corpus does not exist: the tuned file is checked first
+        with pytest.raises(ValueError) as err:
+            load_system(tmp_path / "corpus.jsonl", tuned_path=tuned)
+        assert str(err.value) == f"{tuned}: {message}"
+
 
 class TestOneMentionPass:
     def test_run4_finds_mentions_once_per_retrieved_doc(

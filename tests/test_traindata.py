@@ -1,5 +1,7 @@
 """Distant supervision, trigger cleaning, the selection loop, tuning."""
 
+import re
+
 import pytest
 
 from slotfill.resources import default_gazetteers, default_slot_configs
@@ -305,10 +307,14 @@ class TestExampleIO:
 
     def test_kb_instances(self, tmp_path):
         p = tmp_path / "kb.tsv"
-        p.write_text("Karl Braun\tper:location_of_birth\tDresden\nbad line\n")
+        p.write_text("Karl Braun\tper:location_of_birth\tDresden\n")
         out = load_kb_instances(p)
         assert out == [RelationInstance("Karl Braun", "per:location_of_birth",
                                         "Dresden")]
+        p.write_text("Karl Braun\tper:location_of_birth\tDresden\nbad line\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 2: "
+                           r"expected 3 tab-separated fields, got 1$"):
+            load_kb_instances(p)
 
     def test_triggers_words_and_templates(self, tmp_path):
         p = tmp_path / "triggers.tsv"
