@@ -259,12 +259,22 @@ def combine_scores(scores: dict[str, float], weights: dict[str, float]) -> float
     return sum(scores[k] * w / total for k, w in usable.items())
 
 
+def is_finite(number: int | float) -> bool:
+    """Whether ``number`` is a float other than NaN and the infinities, or
+    an int that converts to one.  JSON files can hold all of these."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def check_weights(weights, source) -> dict[str, float]:
     """The interpolation weights read from ``source``, as floats; they must
-    be a nonempty mapping from classifier kinds to numbers."""
+    be a nonempty mapping from classifier kinds to finite numbers."""
     if not (isinstance(weights, dict) and weights and all(
-            k in CLASSIFIER_ORDER and type(v) in (int, float)
+            k in CLASSIFIER_ORDER and type(v) in (int, float) and is_finite(v)
             for k, v in weights.items())):
         raise ValueError(f"{source}: interpolation weights must map "
-                         f"{', '.join(CLASSIFIER_ORDER)} to numbers: {weights!r}")
+                         f"{', '.join(CLASSIFIER_ORDER)} to finite numbers: "
+                         f"{weights!r}")
     return {k: float(v) for k, v in weights.items()}

@@ -153,9 +153,9 @@ def _max_accepted_dist(window_len: int, target_len: int) -> int:
 def split_pieces(target: str, parts: int) -> tuple[str, ...]:
     """``target`` cut into ``parts`` disjoint contiguous pieces whose lengths
     differ by at most one (empty pieces when it is shorter than ``parts``).
-    A string within edit distance ``parts - 1`` of ``target`` contains at
-    least one piece unchanged: each edit touches one piece (Wu & Manber
-    1992; Navarro 2001, section 7)."""
+    A string within edit distance k of ``target`` contains at least
+    ``parts - k`` of the pieces unchanged: each edit touches one piece (Wu &
+    Manber 1992; Navarro 2001, section 7)."""
     size, extra = divmod(len(target), parts)
     pieces, pos = [], 0
     for p in range(parts):
@@ -175,7 +175,7 @@ def lowered_name(name: str) -> str:
 @dataclass(frozen=True)
 class _Target:
     """One lowered name: its accepted distance per window length and its
-    exact pieces, one more than the largest of those distances."""
+    exact pieces, two more than the largest of those distances."""
     lowered: str
     max_dist: dict[int, int]
     pieces: tuple[str, ...]
@@ -196,7 +196,7 @@ def _name_table(names: tuple[str, ...]) -> tuple[tuple[int, tuple[_Target, ...]]
                     if (k := _max_accepted_dist(w, n)) >= 0}
         # a token holds no whitespace
         by_width.setdefault(lowered.count(" ") + 1, {})[lowered] = _Target(
-            lowered, max_dist, split_pieces(lowered, max(max_dist.values()) + 1))
+            lowered, max_dist, split_pieces(lowered, max(max_dist.values()) + 2))
     return tuple((w, tuple(ts.values())) for w, ts in by_width.items())
 
 
@@ -205,9 +205,12 @@ def find_name_mentions(doc: Document, names: list[str]) -> list[Mention]:
     of FUZZY_MAX_NORM_DIST (distance / length of the longer string).  Window
     sizes follow each name's token count; matching is case-insensitive.
 
-    A window is compared with the bounded edit distance only when one of
-    the name's exact pieces occurs in it, and a sentence's windows are not
-    built at all when no piece occurs in the whole sentence."""
+    Each name is cut into k_max + 2 exact pieces, k_max its largest
+    accepted distance.  k edits touch at most k pieces, so a window whose
+    accepted distance is k holds at least k_max + 2 - k of them unchanged,
+    and it is compared with the bounded edit distance only then.  A
+    sentence's windows are not built at all when it holds fewer than two
+    pieces of every name of their width."""
     found: dict[tuple[int, int, int], Mention] = {}
     table = _name_table(tuple(names))
     for sent in doc.sentences:
@@ -216,7 +219,7 @@ def find_name_mentions(doc: Document, names: list[str]) -> list[Mention]:
         for width, targets in table:
             # every window is a substring of the joined sentence
             live = [t for t in targets
-                    if any(p in joined for p in t.pieces)]
+                    if sum(p in joined for p in t.pieces) >= 2]
             if not live:
                 continue
             # a lowered window equals its lowered joined surface
@@ -226,7 +229,8 @@ def find_name_mentions(doc: Document, names: list[str]) -> list[Mention]:
             for i, lowered in enumerate(windows):
                 for target in live:
                     k = target.max_dist.get(len(lowered), -1)
-                    if k < 0 or not any(p in lowered for p in target.pieces):
+                    if k < 0 or sum(p in lowered for p in target.pieces) \
+                            < len(target.pieces) - k:
                         continue
                     dist = bounded_levenshtein(lowered, target.lowered, k)
                     if dist > k:

@@ -14,18 +14,29 @@ INIT_RANGE = 0.1
 
 
 def load_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Text embeddings, one line per word: ``word v1 v2 ... vd``.  A value
-    that is not a number raises ValueError naming the file and line."""
+    """Text embeddings, one line per word: ``word v1 v2 ... vd``; blank
+    lines are skipped.  A word without values, a value that is not a number
+    and a vector whose length differs from the first vector's raise
+    ValueError naming the file and line."""
     vectors: dict[str, np.ndarray] = {}
+    dim = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
-            if len(parts) < 2:
+            if not parts:
                 continue
+            if len(parts) == 1:
+                raise ValueError(f"{path}: line {line_no}: word {parts[0]!r} "
+                                 "has no values")
             try:
                 values = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ValueError(f"{path}: line {line_no}: {len(values)} "
+                                 f"values, but the first vector has {dim}")
             vectors[parts[0]] = np.array(values, dtype=np.float64)
     return vectors
 

@@ -21,6 +21,7 @@ import numpy as np
 from .classify import (
     check_weights,
     combine_scores,
+    is_finite,
     match_patterns,
     svm_from_arrays,
     svm_score,
@@ -256,8 +257,9 @@ def load_system(corpus_path: str | Path, coref_path: str | Path | None = None,
 
 def _read_tuned(path: str | Path) -> dict:
     """A ``slotfill tune`` output: a JSON object whose ``thresholds``, if
-    present, map slots to numbers.  Anything else raises ValueError naming
-    the file, and the slot of a threshold that is not a number."""
+    present, map slots to finite numbers.  Anything else raises ValueError
+    naming the file, and the slot of a threshold that is not a number or
+    not finite."""
     try:
         tuned = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -271,6 +273,9 @@ def _read_tuned(path: str | Path) -> dict:
         if type(theta) not in (int, float):
             raise ValueError(f"{path}: threshold of slot {slot!r} must be a "
                              f"number, got {theta!r}")
+        if not is_finite(theta):
+            raise ValueError(f"{path}: threshold of slot {slot!r} must be "
+                             f"finite, got {theta!r}")
     return tuned
 
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from .corpus import DocumentStore, tokenize
@@ -18,6 +22,13 @@ from .corpus import DocumentStore, tokenize
 BM25_K1 = 1.2
 BM25_B = 0.75
 MAX_DOCS_PER_ENTITY = 100
+# A score is Okapi BM25 with the nonnegative (+1 inside the log) idf,
+# accumulated one term at a time over the distinct query terms in query
+# order, so the float sum is the same under every hash seed.
+_TF_SCALE = BM25_K1 + 1.0
+# values of interleaved (doc, tf) rows that ``build_index`` gathers before
+# splitting them into its two columns
+_SPLIT_EVERY = 4096
 
 _PUNCT = string.punctuation
 
@@ -27,19 +38,19 @@ def text_terms(text: str) -> list[str]:
     return [w.lower() for w in tokenize(text) if w.strip(_PUNCT)]
 
 
+@dataclass(frozen=True)
 class InvertedIndex:
-    def __init__(self):
-        # term -> {doc_id: tf}, doc ids inserted in sorted order
-        self.postings: dict[str, dict[str, int]] = {}
-        self.doc_lengths: dict[str, int] = {}
-        self.avg_doc_length = 0.0
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_lengths)
-
-    def doc_ids_for(self, term: str) -> list[str]:
-        return list(self.postings.get(term, ()))
+    """Columnar postings.  Documents are numbered in sorted-id order:
+    document d is ``doc_ids[d]`` and ``norms[d]`` is its BM25 length norm.
+    ``postings`` maps each term to its term number t; t's documents are
+    ``docs[starts[t]:starts[t + 1]]``, ascending, and their term
+    frequencies sit at the same positions of ``tfs``."""
+    doc_ids: list[str]
+    norms: array
+    postings: dict[str, int]
+    starts: array
+    docs: array
+    tfs: array
 
 
 class RetrievalResult(NamedTuple):
@@ -49,73 +60,115 @@ class RetrievalResult(NamedTuple):
 
 def build_index(store: DocumentStore) -> InvertedIndex:
     """Index every token of every sentence, lowercased; punctuation-only
-    tokens are skipped."""
-    index = InvertedIndex()
-    counts: dict[str, Counter] = {}
-    for doc in store:
-        c = Counter()
+    tokens are skipped.
+
+    One pass over the tokens of the documents in id order builds each
+    term's row of interleaved ``(d, tf)`` pairs: a token of the document
+    the row ends with adds one to its tf, any other token appends
+    ``(d, 1)``.  The rows are then laid end to end in term order, each
+    freed as it is copied, and split into ``docs`` and ``tfs`` every
+    ``_SPLIT_EVERY`` values, so the build holds little more than the rows
+    it frees and pays two slices per batch of terms, not per term."""
+    ordered = sorted(store, key=attrgetter("id"))
+    lengths = array("I")
+    rows: dict[str, array] = {}
+    row_of = rows.get
+    for d, doc in enumerate(ordered):
+        first = array("I", (d, 1))
+        length = 0
         for sent in doc.sentences:
-            c.update(sent.lower)
-        counts[doc.id] = c
-        index.doc_lengths[doc.id] = c.total()
-    for doc_id in sorted(counts):
-        for term, tf in counts[doc_id].items():
-            index.postings.setdefault(term, {})[doc_id] = tf
-    for term in [t for t in index.postings if not t.strip(_PUNCT)]:
-        for doc_id, tf in index.postings.pop(term).items():
-            index.doc_lengths[doc_id] -= tf
-    if index.doc_lengths:
-        index.avg_doc_length = (sum(index.doc_lengths.values())
-                                / len(index.doc_lengths))
-    return index
+            length += len(sent.lower)
+            for term in sent.lower:
+                row = row_of(term)
+                if row is None:
+                    rows[term] = first[:]
+                elif row[-2] == d:
+                    row[-1] += 1
+                else:
+                    row += first
+        lengths.append(length)
+    for term in [t for t in rows if not t.strip(_PUNCT)]:
+        row = rows.pop(term)
+        for d, tf in zip(row[::2], row[1::2]):
+            lengths[d] -= tf
+    starts = array("I", (n // 2 for n in accumulate(map(len, rows.values()),
+                                                    initial=0)))
+    # ``rows`` becomes the postings: each row is freed as it is copied, its
+    # value replaced by the term number
+    postings = rows
+    docs, tfs, pairs = array("I"), array("I"), array("I")
+    for t, (term, row) in enumerate(rows.items()):
+        postings[term] = t
+        pairs += row
+        if len(pairs) >= _SPLIT_EVERY:
+            docs += pairs[::2]
+            tfs += pairs[1::2]
+            del pairs[:]
+    docs += pairs[::2]
+    tfs += pairs[1::2]
+    avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+    norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
+                        if avgdl else BM25_K1 for dl in lengths))
+    return InvertedIndex([doc.id for doc in ordered], norms, postings,
+                         starts, docs, tfs)
 
 
-def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
-    """Okapi BM25 with the nonnegative (+1 inside the log) idf variant,
-    summed over the distinct terms in query order, so the float sum does not
-    depend on the hash seed."""
-    n = index.doc_count
-    avgdl = index.avg_doc_length
-    dl = index.doc_lengths.get(doc_id, 0)
-    score = 0.0
-    for term in dict.fromkeys(terms):
-        posting = index.postings.get(term, {})
-        tf = posting.get(doc_id, 0)
-        if tf == 0:
-            continue
-        df = len(posting)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) if avgdl else BM25_K1
-        score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
-    return score
+def _idf(index: InvertedIndex, df: int) -> float:
+    n = len(index.doc_ids)
+    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
-def _ranked(index: InvertedIndex, doc_ids: set[str],
-            terms: list[str]) -> list[RetrievalResult]:
-    results = [RetrievalResult(d, bm25_score(index, terms, d)) for d in doc_ids]
-    results.sort(key=lambda r: (-r.score, r.doc_id))
-    return results
+def _ranked(index: InvertedIndex,
+            scores: dict[int, float]) -> list[RetrievalResult]:
+    """By score, then by doc number, which is doc-id order."""
+    order = sorted(scores)
+    order.sort(key=scores.__getitem__, reverse=True)
+    return [RetrievalResult(index.doc_ids[d], scores[d]) for d in order]
+
+
+def _spans(index: InvertedIndex,
+           terms: list[str]) -> list[tuple[int, int] | None]:
+    """The postings span of each distinct lowercased term, in query order
+    (None for a term the index lacks)."""
+    if not terms:
+        raise ValueError("terms must be nonempty")
+    spans = []
+    for term in dict.fromkeys(t.lower() for t in terms):
+        t = index.postings.get(term)
+        spans.append(None if t is None
+                     else (index.starts[t], index.starts[t + 1]))
+    return spans
 
 
 def query_and(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
     """Documents containing ALL terms, BM25-ranked (ties by doc id)."""
-    if not terms:
-        raise ValueError("terms must be nonempty")
-    terms = [t.lower() for t in terms]
-    doc_sets = [set(index.doc_ids_for(t)) for t in set(terms)]
-    hits = set.intersection(*doc_sets) if doc_sets else set()
-    return _ranked(index, hits, terms)
+    spans = _spans(index, terms)
+    if None in spans:
+        return []
+    docs, tfs, norms = index.docs, index.tfs, index.norms
+    hits = set.intersection(*(set(docs[lo:hi]) for lo, hi in spans))
+    scores = dict.fromkeys(hits, 0.0)
+    for lo, hi in spans:
+        idf = _idf(index, hi - lo)
+        for d in hits:
+            tf = tfs[bisect_left(docs, d, lo, hi)]
+            scores[d] += idf * tf * _TF_SCALE / (tf + norms[d])
+    return _ranked(index, scores)
 
 
 def query_or(index: InvertedIndex, terms: list[str]) -> list[RetrievalResult]:
     """Documents containing ANY term, BM25-ranked (ties by doc id)."""
-    if not terms:
-        raise ValueError("terms must be nonempty")
-    terms = [t.lower() for t in terms]
-    hits = set()
-    for t in set(terms):
-        hits.update(index.doc_ids_for(t))
-    return _ranked(index, hits, terms)
+    norms = index.norms
+    scores: dict[int, float] = {}
+    get = scores.get
+    for span in _spans(index, terms):
+        if span is None:
+            continue
+        lo, hi = span
+        idf = _idf(index, hi - lo)
+        for d, tf in zip(index.docs[lo:hi], index.tfs[lo:hi]):
+            scores[d] = get(d, 0.0) + idf * tf * _TF_SCALE / (tf + norms[d])
+    return _ranked(index, scores)
 
 
 def retrieve_for_entity(index: InvertedIndex, name: str,
@@ -148,4 +201,3 @@ def retrieve_for_entity(index: InvertedIndex, name: str,
                 if len(out) >= MAX_DOCS_PER_ENTITY:
                     return out
     return out
-

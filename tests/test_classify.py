@@ -269,6 +269,9 @@ class TestCombineScores:
         {"svm": True},
         {},
         [0.5, 0.5],
+        {"pattern": float("nan")},
+        {"pattern": 1.0, "svm": float("-inf")},
+        {"pattern": 10 ** 400},
     ])
     def test_check_weights_rejects(self, weights):
         with pytest.raises(ValueError, match=r"w\.json: interpolation weights"):

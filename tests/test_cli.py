@@ -167,6 +167,37 @@ class TestTuneCommand:
         assert out.exists()
 
 
+class TestNonFiniteTunedFile:
+    """A tuned file that holds NaN or Infinity, which Python's json reads
+    as floats, is refused before any corpus work."""
+
+    def run_with(self, tmp_path, content: str) -> int:
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(content)
+        return main(["run", "--queries", str(tmp_path / "never-read.jsonl"),
+                     "--corpus", str(tmp_path / "never-read.jsonl"),
+                     "--run", "2", "--tuned", str(tuned),
+                     "--out", str(tmp_path / "answers.tsv")])
+
+    def test_nan_threshold_names_file_and_slot(self, tmp_path, capsys):
+        rc = self.run_with(tmp_path, '{"thresholds": {"per:age": NaN}}')
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'tuned.json'}: threshold of slot 'per:age' "
+            "must be finite, got nan\n")
+        assert not (tmp_path / "answers.tsv").exists()
+
+    def test_infinite_weight_names_file(self, tmp_path, capsys):
+        rc = self.run_with(tmp_path,
+                           '{"weights": {"pattern": 1.0, "svm": Infinity}}')
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'tuned.json'}: interpolation weights must "
+            "map pattern, svm, cnn, rnn to finite numbers: "
+            "{'pattern': 1.0, 'svm': inf}\n")
+        assert not (tmp_path / "answers.tsv").exists()
+
+
 class TestRunAndScore:
     def test_run_3_without_rnn_for_a_slot(self, fixtures_dir,
                                           trained_models_dir, tmp_path,

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from slotfill.corpus import make_document
 from slotfill.mentions import (
     MENTION_KINDS,
@@ -118,7 +121,7 @@ def reference_name_mentions(doc, names, max_norm_dist=0.2):
                 span = (sent.index, i, i + width)
                 prev = found.get(span)
                 if prev is None or MENTION_KINDS.index(kind) \
-                        < MENTION_KINDS.index(prev.kind):
+                        < MENTION_KINDS.index(prev[4]):
                     found[span] = (sent.index, i, i + width, surface, kind)
     return sorted(found.values(), key=lambda m: m[:3])
 
@@ -202,6 +205,30 @@ class TestFindNameMentionsOracle:
             assert got == reference_name_mentions(doc, names)
             fuzzy += sum(m[-1] == "fuzzy" for m in got)
         assert fuzzy > 300
+
+
+# name tokens that share substrings, so the names share pieces
+SHARED_TOKENS = ["anna", "ann", "annan", "nabe", "berg", "bergen", "ab"]
+shared_names = st.lists(
+    st.lists(st.sampled_from(SHARED_TOKENS), min_size=1,
+             max_size=3).map(" ".join),
+    min_size=1, max_size=4)
+# the names' own tokens, near misses of them, other words and punctuation
+shared_sentences = st.lists(
+    st.one_of(st.sampled_from(SHARED_TOKENS),
+              st.text(alphabet="abegnrAN", min_size=1, max_size=7),
+              st.sampled_from(["the", "met", ".", ","])),
+    max_size=30).map(" ".join)
+
+
+class TestFindNameMentionsProperties:
+    @given(shared_names, shared_sentences)
+    def test_equals_full_levenshtein_rule(self, names, text):
+        doc = doc_from(text)
+        got = [(m.sentence_index, m.token_start, m.token_end, m.surface,
+                m.kind)
+               for m in find_name_mentions(doc, names)]
+        assert got == reference_name_mentions(doc, names)
 
 
 def spread_near_miss(rng: random.Random, name: str, insertions: int,

@@ -61,6 +61,19 @@ class TestEmbeddings:
         assert str(err.value) == (f"{p}: line 3: could not convert string "
                                   "to float: 'x'")
 
+    @pytest.mark.parametrize("content, message", [
+        ("born 1 2 3\nparis\n", "line 2: word 'paris' has no values"),
+        ("a 1 2\n\nb 1 2 3\n",
+         "line 3: 3 values, but the first vector has 2"),
+    ])
+    def test_malformed_vector_names_file_and_line(self, tmp_path, content,
+                                                  message):
+        p = tmp_path / "vec.txt"
+        p.write_text(content)
+        with pytest.raises(ValueError) as err:
+            load_embedding_file(p)
+        assert str(err.value) == f"{p}: {message}"
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingMatrix.build(["a"], dim=4,

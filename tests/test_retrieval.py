@@ -1,20 +1,25 @@
 """Inverted index and BM25 retrieval against brute-force oracles."""
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import slotfill
 from slotfill.corpus import DocumentStore
 from slotfill.retrieval import (
     BM25_B,
     BM25_K1,
+    MAX_DOCS_PER_ENTITY,
     build_index,
     query_and,
     query_or,
@@ -38,6 +43,27 @@ def brute_force_docs(texts: dict[str, str], terms: list[str], mode: str) -> set[
     return hits
 
 
+def term_docs(index, term: str) -> list[tuple[str, int]]:
+    """``(doc_id, tf)`` of each document holding ``term``, read from the
+    index's columns."""
+    t = index.postings.get(term)
+    if t is None:
+        return []
+    lo, hi = index.starts[t], index.starts[t + 1]
+    return [(index.doc_ids[d], tf)
+            for d, tf in zip(index.docs[lo:hi], index.tfs[lo:hi])]
+
+
+def doc_ids_for(index, term: str) -> list[str]:
+    return [doc_id for doc_id, _ in term_docs(index, term)]
+
+
+def doc_length(index, doc_id: str) -> int:
+    """The summed term frequencies of a document."""
+    return sum(tf for term in index.postings
+               for d, tf in term_docs(index, term) if d == doc_id)
+
+
 def random_corpus(rng: random.Random, n_docs: int) -> dict[str, str]:
     vocab = [f"w{i}" for i in range(30)]
     return {
@@ -50,19 +76,19 @@ class TestBuildIndex:
     def test_two_doc_postings(self):
         store = news_store({"d1": "Barack Obama", "d2": "Obama speech"})
         index = build_index(store)
-        assert index.doc_ids_for("obama") == ["d1", "d2"]
-        assert index.doc_ids_for("barack") == ["d1"]
+        assert doc_ids_for(index, "obama") == ["d1", "d2"]
+        assert doc_ids_for(index, "barack") == ["d1"]
 
     def test_empty_store(self):
         index = build_index(DocumentStore())
-        assert index.doc_count == 0
+        assert index.doc_ids == []
         assert index.postings == {}
 
     def test_punctuation_only_tokens_skipped(self):
         store = news_store({"d1": "hello , world ."})
         index = build_index(store)
         assert "," not in index.postings
-        assert index.doc_lengths["d1"] == 2
+        assert doc_length(index, "d1") == 2
 
     def test_postings_match_brute_force_scan(self):
         rng = random.Random(7)
@@ -70,7 +96,26 @@ class TestBuildIndex:
         index = build_index(news_store(texts))
         for term in list(index.postings)[:10]:
             expected = {d for d, t in texts.items() if term in text_terms(t)}
-            assert set(index.doc_ids_for(term)) == expected
+            assert set(doc_ids_for(index, term)) == expected
+
+    def test_build_peak_within_half_again_the_index(self):
+        # a build that keeps a count per document peaks near twice the index
+        rng = random.Random(13)
+        vocab = [f"w{i}" for i in range(3000)]
+        weights = [1.0 / (i + 1) for i in range(len(vocab))]
+        store = news_store({
+            f"d{i:05d}": " ".join(rng.choices(vocab, weights, k=20)) + " ."
+            for i in range(3000)})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = build_index(store)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index.postings) > 1000
+        assert peak - base <= 1.5 * (held - base)
 
 
 class TestQueries:
@@ -172,16 +217,68 @@ class TestBM25Oracle:
 
     def test_empty_store(self):
         index = build_index(DocumentStore())
-        assert index.avg_doc_length == 0.0
+        assert len(index.norms) == 0
         for query, mode in ((query_and, "and"), (query_or, "or")):
             assert query(index, ["w0", "w1"]) == []
             assert oracle_ranking({}, ["w0", "w1"], mode) == []
 
 
-# every document's score for 200 four-term queries over 300 documents
+def oracle_retrieve(texts: dict[str, str], name: str, ir_alias: str | None,
+                    entity_type: str) -> list[str]:
+    """The three tiers of ``retrieve_for_entity`` from the counting oracle."""
+    name_terms = text_terms(name)
+    if not name_terms:
+        return []
+    tiers = [oracle_ranking(texts, name_terms, "and")]
+    if ir_alias and text_terms(ir_alias):
+        tiers.append(oracle_ranking(texts, text_terms(ir_alias), "and"))
+    if entity_type != "GPE":
+        tiers.append(oracle_ranking(texts, name_terms, "or"))
+    ranked = dict.fromkeys(doc_id for tier in tiers for doc_id, _ in tier)
+    return list(ranked)[:MAX_DOCS_PER_ENTITY]
+
+
+VOCAB = ["alpha", "Beta", "gamma", "delta", "eps"]
+PUNCT_TOKENS = [",", ".", "--", "!", "?", ";"]
+# documents of words and punctuation-only tokens, empty ones included,
+# stored in the order drawn rather than in id order
+property_corpora = st.dictionaries(
+    st.text(alphabet="dx07", min_size=1, max_size=3),
+    st.lists(st.sampled_from(VOCAB + PUNCT_TOKENS), max_size=12).map(" ".join),
+    max_size=12)
+# repeated terms, other cases, a term no document holds and a
+# punctuation-only term
+property_terms = st.lists(
+    st.sampled_from(VOCAB + ["ALPHA", "beta", "absent", ","]),
+    min_size=1, max_size=5)
+
+
+def exact(pairs) -> list[tuple[str, str]]:
+    return [(doc_id, score.hex()) for doc_id, score in pairs]
+
+
+class TestIndexProperties:
+    @given(property_corpora, property_terms)
+    def test_queries_bit_equal_to_counting_oracle(self, texts, terms):
+        index = build_index(news_store(texts))
+        for query, mode in ((query_and, "and"), (query_or, "or")):
+            assert exact(query(index, terms)) == \
+                exact(oracle_ranking(texts, terms, mode))
+
+    @given(property_corpora, property_terms, property_terms,
+           st.sampled_from(["PER", "ORG", "GPE"]))
+    def test_retrieve_for_entity_equals_oracle(self, texts, name, alias,
+                                               entity_type):
+        index = build_index(news_store(texts))
+        name, alias = " ".join(name), " ".join(alias)
+        assert retrieve_for_entity(index, name, alias, entity_type) == \
+            oracle_retrieve(texts, name, alias, entity_type)
+
+
+# every scored document of 200 four-term OR queries over 300 documents
 _SCORES_SCRIPT = """
 import hashlib, random
-from slotfill.retrieval import bm25_score, build_index
+from slotfill.retrieval import build_index, query_or
 from helpers import news_store
 from test_retrieval import random_corpus
 rng = random.Random(5)
@@ -189,8 +286,8 @@ index = build_index(news_store(random_corpus(rng, 300)))
 digest = hashlib.sha256()
 for _ in range(200):
     terms = rng.choices([f"w{i}" for i in range(30)], k=4)
-    for doc_id in sorted(index.doc_lengths):
-        digest.update(bm25_score(index, terms, doc_id).hex().encode())
+    for r in query_or(index, terms):
+        digest.update(f"{r.doc_id} {r.score.hex()}".encode())
 print(digest.hexdigest())
 """
 
